@@ -1,13 +1,12 @@
 // Figure-level benchmark report: times the hybrid-layer workloads the
-// figures lean on (batch forward/backward, adjoint VJP) under compiled
-// plans, forced-uncompiled lowering, and generic kernels, and writes
-// BENCH_figs.json via the shared JSON reporter — the figure-scale
-// counterpart of tools/bench_report.py's BENCH_micro.json.
+// figures lean on (batch forward/backward, adjoint VJP) on the active
+// backend's compiled plans, and writes BENCH_figs.json via the shared JSON
+// reporter — the figure-scale counterpart of tools/bench_report.py's
+// BENCH_micro.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,70 +28,41 @@ namespace {
 
 using namespace qhdl;
 
-// Three execution modes per workload: cached compiled plans (default),
-// QHDL_FORCE_UNCOMPILED per-call lowering, and fully generic kernels.
-struct BenchMode {
-  const char* suffix;
-  bool generic;
-  bool uncompiled;
-};
-
-constexpr BenchMode kModes[] = {
-    {"", false, false},
-    {"_uncompiled", false, true},
-    {"_generic", true, false},
-};
-
-void apply_mode(const BenchMode& mode) {
-  quantum::kernels::set_force_generic(mode.generic);
-  quantum::kernels::set_force_uncompiled(mode.uncompiled);
-}
-
 double median(std::vector<double>& samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
 }
 
-/// Times `fn` under every mode with the modes INTERLEAVED per repetition
-/// round, then reports each mode's median ns/call. Interleaving matters:
-/// this machine's clock drifts several percent over a bench run, so timing
-/// one mode to completion before the next would fold that drift into the
-/// mode comparison; alternating modes within each round makes adjacent
-/// samples share thermal/frequency conditions so the drift cancels in the
-/// medians. Each sample is a timed block of `inner` calls preceded by one
-/// untimed call — the warm call restores branch predictors and caches
-/// after the mode switch, and the block amortizes timer granularity.
-std::vector<bench::BenchEntry> time_workload_all_modes(
-    const std::string& name, std::size_t repeat, std::size_t inner,
-    double amps_per_op, const std::function<void()>& fn) {
-  for (const BenchMode& mode : kModes) {
-    apply_mode(mode);
-    fn();  // warm-up (also primes thread-local scratch and the plan cache)
-  }
-  std::vector<std::vector<double>> samples(std::size(kModes));
+/// Times `fn` and reports the median ns/call over `repeat` samples. Each
+/// sample is a timed block of `inner` calls, which amortizes timer
+/// granularity; one untimed call first primes thread-local scratch and the
+/// plan cache. The entry carries the cumulative plan-cache counters at the
+/// time the workload finished, proving the timed calls hit the cache
+/// instead of recompiling.
+bench::BenchEntry time_workload(const std::string& name, std::size_t repeat,
+                                std::size_t inner, double amps_per_op,
+                                const std::function<void()>& fn) {
+  fn();
+  std::vector<double> samples;
   for (std::size_t r = 0; r < repeat; ++r) {
-    for (std::size_t m = 0; m < std::size(kModes); ++m) {
-      apply_mode(kModes[m]);
-      fn();
-      const auto begin = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < inner; ++i) fn();
-      const auto end = std::chrono::steady_clock::now();
-      samples[m].push_back(
-          std::chrono::duration<double, std::nano>(end - begin).count() /
-          static_cast<double>(inner));
-    }
+    const auto begin = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < inner; ++i) fn();
+    const auto end = std::chrono::steady_clock::now();
+    samples.push_back(
+        std::chrono::duration<double, std::nano>(end - begin).count() /
+        static_cast<double>(inner));
   }
-  std::vector<bench::BenchEntry> entries;
-  for (std::size_t m = 0; m < std::size(kModes); ++m) {
-    bench::BenchEntry entry;
-    entry.name = name + kModes[m].suffix;
-    entry.ns_per_op = median(samples[m]);
-    if (amps_per_op > 0.0) {
-      entry.amps_per_sec = amps_per_op / (entry.ns_per_op * 1e-9);
-    }
-    entries.push_back(entry);
+  bench::BenchEntry entry;
+  entry.name = name;
+  entry.ns_per_op = median(samples);
+  if (amps_per_op > 0.0) {
+    entry.amps_per_sec = amps_per_op / (entry.ns_per_op * 1e-9);
   }
-  return entries;
+  const auto stats = quantum::plan_cache::stats();
+  entry.extra["plan_cache_hits"] = static_cast<double>(stats.hits);
+  entry.extra["plan_cache_misses"] = static_cast<double>(stats.misses);
+  entry.extra["plan_cache_compiled"] = static_cast<double>(stats.compiled);
+  return entry;
 }
 
 struct LayerWorkload {
@@ -103,8 +73,7 @@ struct LayerWorkload {
 };
 
 // Scalar (per-sample) workload over the raw circuit: the path taken by
-// parameter-shift, shots, and noisy evaluation, where every run() call
-// re-lowered the op stream before compiled plans existed.
+// parameter-shift, shots, and noisy evaluation.
 struct ScalarWorkload {
   quantum::Circuit circuit;
   std::vector<double> params;
@@ -156,9 +125,8 @@ LayerWorkload make_layer_workload(std::size_t qubits, std::size_t depth,
 
 int main(int argc, char** argv) {
   util::Cli cli{"bench_figs_report",
-                "Times figure-level hybrid workloads under compiled, "
-                "uncompiled, and generic execution and writes "
-                "BENCH_figs.json"};
+                "Times figure-level hybrid workloads on compiled plans and "
+                "writes BENCH_figs.json"};
   cli.add_string("out", "BENCH_figs.json", "output JSON path");
   cli.add_int("repeat", 9, "timed repetitions per workload");
   if (!cli.parse(argc, argv)) return 0;
@@ -169,69 +137,44 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchEntry> entries;
   quantum::plan_cache::reset_stats();
 
-  // Cumulative plan-cache counters at the time each workload finished:
-  // proves the compiled rounds hit the cache instead of recompiling. The
-  // counters go on the compiled (no-suffix) entry of each workload.
-  const auto attach_plan_stats = [](std::vector<bench::BenchEntry> batch) {
-    const auto stats = quantum::plan_cache::stats();
-    batch.front().extra["plan_cache_hits"] =
-        static_cast<double>(stats.hits);
-    batch.front().extra["plan_cache_misses"] =
-        static_cast<double>(stats.misses);
-    batch.front().extra["plan_cache_compiled"] =
-        static_cast<double>(stats.compiled);
-    return batch;
-  };
-  const auto push_all = [&](std::vector<bench::BenchEntry> batch) {
-    for (bench::BenchEntry& entry : batch) {
-      entries.push_back(std::move(entry));
-    }
-  };
-
   auto sel5 = make_layer_workload(5, 10, 16, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_b16_forward", repeat, 16, sel5.amps_per_call,
-      [&] { sel5.layer.forward(sel5.input); })));
+      [&] { sel5.layer.forward(sel5.input); }));
   sel5.layer.forward(sel5.input);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_b16_backward", repeat, 4, sel5.amps_per_call,
-      [&] { sel5.layer.backward(sel5.upstream); })));
+      [&] { sel5.layer.backward(sel5.upstream); }));
 
   auto sel8 = make_layer_workload(8, 2, 16, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q8_d2_b16_forward", repeat, 8, sel8.amps_per_call,
-      [&] { sel8.layer.forward(sel8.input); })));
+      [&] { sel8.layer.forward(sel8.input); }));
 
-  // Scalar per-sample path (parameter-shift / shots / noise route): here
-  // per-call lowering is a larger fraction of the work than in the batch
-  // path, whose uncompiled loop never re-analyzed ops in the first place.
+  // Scalar per-sample path (parameter-shift / shots / noise route).
   auto scalar5 = make_scalar_workload(5, 10, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_scalar_forward", repeat, 64, scalar5.amps_per_call,
       [&] {
         quantum::StateVector state{5};
         scalar5.circuit.run(state, scalar5.params);
-      })));
-  push_all(attach_plan_stats(time_workload_all_modes(
+      }));
+  entries.push_back(time_workload(
       "figs/sel_q5_d10_scalar_backward", repeat, 24, scalar5.amps_per_call,
       [&] {
         quantum::adjoint_vjp(scalar5.circuit, scalar5.params,
                              scalar5.observables, scalar5.upstream);
-      })));
+      }));
 
   // Small-state scalar workload: at q3 the per-op bookkeeping is
-  // comparable to the kernel arithmetic, so this is where compiled plans
-  // buy the most throughput (~10% on this machine).
+  // comparable to the kernel arithmetic.
   auto scalar3 = make_scalar_workload(3, 10, rng);
-  push_all(attach_plan_stats(time_workload_all_modes(
+  entries.push_back(time_workload(
       "figs/sel_q3_d10_scalar_forward", repeat, 128, scalar3.amps_per_call,
       [&] {
         quantum::StateVector state{3};
         scalar3.circuit.run(state, scalar3.params);
-      })));
-
-  quantum::kernels::set_force_generic(std::nullopt);
-  quantum::kernels::set_force_uncompiled(std::nullopt);
+      }));
 
   bench::write_bench_json(out_path, bench::collect_metadata(), entries);
   std::printf("wrote %s (%zu workloads)\n", out_path.c_str(),

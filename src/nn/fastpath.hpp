@@ -4,10 +4,10 @@
 // preallocated workspace trainer (nn/workspace.hpp): fused GEMM + bias +
 // activation forward, fused softmax-cross-entropy loss, in-place backward
 // and Adam step with zero steady-state heap allocations. This header owns
-//   * the QHDL_FORCE_REFERENCE_NN escape hatch (env var, CMake option, or
-//     runtime override, mirroring QHDL_FORCE_GENERIC_KERNELS in
-//     quantum/kernels.hpp) that forces every training run back onto the
-//     reference Module::forward/backward path for equivalence testing, and
+//   * force_reference(), true exactly when the reference kernel backend is
+//     active (QHDL_BACKEND=reference, DESIGN.md §13): every training run
+//     then takes the reference Module::forward/backward path, the oracle
+//     the workspace trainer is held bit-identical to, and
 //   * per-path run/step counters so tests and benchmarks can assert which
 //     path actually executed.
 //
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace qhdl::nn::fastpath {
@@ -30,16 +29,9 @@ struct FastpathStatsSnapshot {
   std::string to_string() const;
 };
 
-/// True when the escape hatch is active: the QHDL_FORCE_REFERENCE_NN
-/// environment variable is set to anything but "0"/"" at first use, the
-/// CMake option of the same name was ON at build time, or a test override
-/// is in place.
+/// True when the reference backend is active. Queried live, so a runtime
+/// util::simd::set_backend switch takes effect on the next training run.
 bool force_reference();
-
-/// Test override: true/false forces the mode, nullopt restores the
-/// env/build-time default. Not thread-safe against concurrently running
-/// training (flip it only between runs).
-void set_force_reference(std::optional<bool> forced);
 
 // Counter bumps (relaxed; called once per run / per step).
 void count_workspace_run();

@@ -103,8 +103,8 @@ TrainHistory train_classifier(Module& model, Optimizer& optimizer,
 
   // Workspace fast path: pure classical Sequential stacks train through a
   // preallocated, fused, zero-steady-state-allocation pipeline. Hybrid and
-  // custom models — or QHDL_FORCE_REFERENCE_NN — use the reference Module
-  // path below. Both produce bit-identical histories.
+  // custom models — and everything on the reference backend — use the
+  // reference Module path below. Both produce bit-identical histories.
   std::unique_ptr<TrainWorkspace> workspace;
   if (!fastpath::force_reference()) {
     if (auto* sequential = dynamic_cast<Sequential*>(&model)) {

@@ -3,16 +3,17 @@
 #include <stdexcept>
 
 #include "quantum/exec_plan.hpp"
+#include "quantum/kernels.hpp"
 #include "quantum/statevector_batch.hpp"
 
 namespace qhdl::quantum {
 
 namespace {
 
-// The sweeps below run over either the circuit's raw op list or its
-// compiled plan's flat op stream (same ops minus exactly-cancelled
-// involution pairs — see exec_plan.hpp). These shims give both op types
-// one parameter-slot interface.
+// The sweeps below run over the compiled plan's flat op stream (the op list
+// minus exactly-cancelled involution pairs — see exec_plan.hpp), or over
+// the circuit's raw op list on the reference backend, which never plans.
+// These shims give both op types one parameter-slot interface.
 inline bool op_has_param(const Op& op) { return op.param_index.has_value(); }
 inline std::size_t op_param(const Op& op) { return *op.param_index; }
 inline bool op_has_param(const PlanOp& op) { return op.param_slot >= 0; }
@@ -50,18 +51,21 @@ std::vector<double> reverse_sweep_ops(std::span<const OpT> ops,
   return gradient;
 }
 
+/// Calls `fn` with the op stream the sweeps walk: the plan's flat ops on a
+/// production backend, the raw op list on the reference backend.
+template <typename Fn>
+decltype(auto) with_sweep_ops(const Circuit& circuit, Fn&& fn) {
+  if (kernels::force_generic()) return fn(std::span<const Op>{circuit.ops()});
+  return fn(circuit.compiled_plan()->flat_ops());
+}
+
 std::vector<double> reverse_sweep(const Circuit& circuit,
                                   std::span<const double> params,
                                   StateVector& phi, StateVector& lambda) {
-  if (const std::shared_ptr<const ExecutionPlan> plan =
-          circuit.compiled_plan()) {
-    return reverse_sweep_ops<PlanOp>(plan->flat_ops(),
-                                     circuit.parameter_count(),
-                                     circuit.num_qubits(), params, phi,
-                                     lambda);
-  }
-  return reverse_sweep_ops<Op>(circuit.ops(), circuit.parameter_count(),
-                               circuit.num_qubits(), params, phi, lambda);
+  return with_sweep_ops(circuit, [&](auto ops) {
+    return reverse_sweep_ops(ops, circuit.parameter_count(),
+                             circuit.num_qubits(), params, phi, lambda);
+  });
 }
 
 }  // namespace
@@ -166,12 +170,7 @@ std::vector<double> initial_state_cogradient(
                          op.wire1);
     }
   };
-  if (const std::shared_ptr<const ExecutionPlan> plan =
-          circuit.compiled_plan()) {
-    pull_back(plan->flat_ops());
-  } else {
-    pull_back(std::span<const Op>{circuit.ops()});
-  }
+  with_sweep_ops(circuit, pull_back);
   std::vector<double> cogradient(lambda.dimension());
   const auto amps = lambda.amplitudes();
   for (std::size_t i = 0; i < cogradient.size(); ++i) {
@@ -314,14 +313,9 @@ BatchAdjointVjpResult adjoint_vjp_batch(
     }
   };
   // The flat plan stream is the op list minus exactly-cancelled involution
-  // pairs (bit-identical, and never parameterized), so gradients match the
-  // uncompiled sweep exactly.
-  if (const std::shared_ptr<const ExecutionPlan> plan =
-          circuit.compiled_plan()) {
-    sweep(plan->flat_ops());
-  } else {
-    sweep(std::span<const Op>{circuit.ops()});
-  }
+  // pairs (bit-identical, and never parameterized), so gradients match a
+  // sweep over the raw op list exactly.
+  with_sweep_ops(circuit, sweep);
   return result;
 }
 

@@ -75,15 +75,12 @@ class Circuit {
   // --- execution --------------------------------------------------------
 
   /// Applies all ops to `state` with the given runtime parameters
-  /// (params.size() must equal parameter_count() exactly). By default this
-  /// executes the circuit's cached ExecutionPlan (compiled on first use,
-  /// shared through the process-wide plan cache — see exec_plan.hpp).
-  /// QHDL_FORCE_UNCOMPILED falls back to per-call lowering: adjacent
-  /// single-qubit gates on the same wire are fused into one 2x2 matrix
-  /// before application (gates on different wires commute exactly, so
-  /// deferral is safe; two-qubit ops flush both of their wires first).
-  /// QHDL_FORCE_GENERIC_KERNELS additionally disables fusion and the
-  /// specialized kernels.
+  /// (params.size() must equal parameter_count() exactly). A circuit runs
+  /// one of exactly two ways: on a production backend it executes its
+  /// cached ExecutionPlan (compiled on first use, shared through the
+  /// process-wide plan cache — see exec_plan.hpp); on the reference backend
+  /// it applies ops one by one through the generic kernels, never touching
+  /// the plan compiler, as the independent oracle.
   void run(StateVector& state, std::span<const double> params) const;
 
   /// Applies all ops to every row of a SoA batch. Row b reads its
@@ -92,16 +89,14 @@ class Circuit {
   /// angle is identical across rows (fixed angles, shared ansatz weights)
   /// run as one shared kernel with a single sin/cos evaluation; per-row
   /// angles (data encoding) use the per-row kernel variants. Executes the
-  /// cached plan's flat op stream unless QHDL_FORCE_UNCOMPILED /
-  /// QHDL_FORCE_GENERIC_KERNELS is active (both paths are bit-identical).
+  /// cached plan's flat op stream, or the op list one op at a time on the
+  /// reference backend.
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 
-  /// The circuit's compiled plan, memoized per instance and shared through
-  /// the process-wide plan cache. Returns nullptr when compiled execution
-  /// is disabled (QHDL_FORCE_UNCOMPILED or QHDL_FORCE_GENERIC_KERNELS), so
-  /// callers can use it directly as the "should I take the compiled path"
-  /// test. Thread-safe; builder mutations invalidate the memoized slot.
+  /// The circuit's compiled plan (never null), memoized per instance and
+  /// shared through the process-wide plan cache. Thread-safe; builder
+  /// mutations invalidate the memoized slot.
   std::shared_ptr<const ExecutionPlan> compiled_plan() const;
 
   /// Runs on a fresh |0...0⟩ state and returns it.

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <list>
 #include <mutex>
 #include <sstream>
@@ -200,8 +199,8 @@ void flush_chain(std::vector<FusedOp>& fused, std::vector<ChainGate>& pool,
     op.fixed_angle = g.fixed_angle;
     op.kernel = kernel_class_for(g.type);
   } else if (chain.all_fixed) {
-    // Precompute the product once; same order as the runtime fuser
-    // (later gates multiply from the left).
+    // Precompute the product once; later gates multiply from the left,
+    // the order runtime chains use too.
     Mat2 matrix =
         gates::matrix_for(chain.gates[0].type, chain.gates[0].fixed_angle);
     bool all_diagonal = kernel_class_for(chain.gates[0].type) ==
@@ -268,8 +267,8 @@ std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit& circuit) {
   }
   plan->cancelled_op_count_ = circuit.op_count() - flat.size();
 
-  // 2. Fused stream: replay the per-wire deferral the runtime fuser does,
-  //    but once, at compile time. Emission order matches Circuit::run.
+  // 2. Fused stream: defer single-qubit gates per wire, once, at compile
+  //    time (see FusedOp for the emission order).
   std::vector<CompileChain> pending(plan->num_qubits_);
   for (const PlanOp& op : flat) {
     if (gate_arity(op.type) == 1) {
@@ -330,8 +329,8 @@ void ExecutionPlan::run(StateVector& state,
         apply_gate(state, op.type, op.angle(params), op.wire0);
         break;
       case FusedOp::Kind::Chain: {
-        // Same left-multiplication order as the runtime fuser, so the
-        // product — and therefore the state — matches it bit-for-bit.
+        // Later gates multiply from the left, the same order as the
+        // precomputed fixed chains and the batched per-row products.
         const ChainGate* gates = &chain_gates_[op.chain_begin];
         Mat2 matrix =
             gates::matrix_for(gates[0].type, gates[0].angle(params));
@@ -371,8 +370,7 @@ void ExecutionPlan::run_batch(StateVectorBatch& batch,
   // and the fused chains feed the batched SIMD kernels (DESIGN.md §14).
   // Parameterized gates detect shared-vs-per-row angles at runtime; a
   // chain whose angles are all row-independent falls back to one 2x2
-  // product per row, built in the scalar fuser's left-multiplication
-  // order.
+  // product per row, built in run()'s left-multiplication order.
   const std::size_t rows = batch.batch();
   thread_local std::vector<double> angles;
   thread_local std::vector<Mat2> row_mats;
@@ -488,21 +486,7 @@ struct Cache {
   std::uint64_t compiled = 0;
   std::optional<std::size_t> capacity_override;
 
-  std::size_t capacity() const {
-    if (capacity_override.has_value()) return *capacity_override;
-    static const std::size_t from_env = [] {
-      const char* value = std::getenv("QHDL_PLAN_CACHE_CAPACITY");
-      if (value != nullptr && value[0] != '\0') {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(value, &end, 10);
-        if (end != nullptr && *end == '\0') {
-          return static_cast<std::size_t>(parsed);
-        }
-      }
-      return std::size_t{64};
-    }();
-    return from_env;
-  }
+  std::size_t capacity() const { return capacity_override.value_or(64); }
 
   /// Drops least-recently-used entries until `resident` <= `limit`.
   /// Caller holds the mutex.

@@ -1,10 +1,9 @@
 // Compiled circuit execution plans (DESIGN.md §12).
 //
-// Circuit::run used to re-derive the same lowering on every call: scan the
-// op list, rebuild single-qubit fusion chains, and re-decide kernel dispatch
-// — per run × epoch × batch in a grid search even though thousands of
-// candidate evaluations share a handful of circuit *structures*. The compile
-// pass here lowers a Circuit once into an immutable ExecutionPlan:
+// Thousands of candidate evaluations in a grid search share a handful of
+// circuit *structures*, so every production backend lowers a Circuit once
+// into an immutable ExecutionPlan and runs only that (the reference backend
+// runs the raw op list instead, as the oracle):
 //
 //   * a peephole pass drops adjacent exact-involution pairs (X·X, Z·Z,
 //     CNOT·CNOT, CZ·CZ, SWAP·SWAP on the same wires — pure permutations and
@@ -13,7 +12,7 @@
 //     fixed chains collapse to a precomputed dense 2×2 (or a precomputed
 //     diagonal when every factor is diagonal), parameterized chains record
 //     the gate sequence so run() multiplies the same matrices in the same
-//     order the uncompiled fuser would;
+//     order on every call;
 //   * adjacent angle-independent two-qubit gates on one wire pair collapse
 //     to a precomputed 4×4 unitary (StateVector::apply_two_qubit);
 //   * every op records the specialized kernel class it dispatches to, so
@@ -23,8 +22,7 @@
 // scheme as search::sweep_config_hash) with full-key verification, so a
 // sweep compiles each (ansatz, qubits, depth) structure once per process —
 // including re-exec'd --worker-mode processes, which warm their own cache on
-// the first unit of each structure. QHDL_FORCE_UNCOMPILED restores the
-// per-call lowering (and QHDL_FORCE_GENERIC_KERNELS still bypasses both).
+// the first unit of each structure.
 #pragma once
 
 #include <cstdint>
@@ -85,9 +83,10 @@ struct ChainGate {
   }
 };
 
-/// One op of the fused scalar stream, emitted in exactly the order the
-/// uncompiled fuser applies gates (two-qubit ops flush their wires first;
-/// trailing chains flush in ascending wire order).
+/// One op of the fused scalar stream. Single-qubit gates are deferred per
+/// wire and emitted when a two-qubit op touches the wire (both wires flush
+/// first) or at the end (ascending wire order); gates on distinct wires
+/// commute exactly, so deferral never reorders anything observable.
 struct FusedOp {
   enum class Kind : std::uint8_t {
     Single,         ///< one single-qubit gate, specialized dispatch
@@ -139,16 +138,15 @@ class ExecutionPlan {
   /// cache lookup so hash collisions can never alias two structures.
   const std::string& structure_key() const { return structure_key_; }
 
-  /// Executes the fused scalar stream. Arithmetic per op matches the
-  /// uncompiled fuser (same matrices multiplied in the same order), so
-  /// outputs agree to the golden-suite tolerance; chains of one gate and
-  /// two-qubit ops dispatch through apply_gate and are bit-identical.
+  /// Executes the fused scalar stream. Outputs agree with the reference
+  /// backend's per-op loop to the golden-suite tolerance, and their bits
+  /// are pinned by the golden digest tables; chains of one gate and
+  /// two-qubit ops dispatch through apply_gate.
   void run(StateVector& state, std::span<const double> params) const;
 
   /// Executes the FUSED stream with the batched SoA kernels (DESIGN.md
   /// §14): the same fused ops run() dispatches, so every batch row is
-  /// bit-identical to the scalar compiled path — and to the uncompiled
-  /// batch fuser, which mirrors the same lowering per call.
+  /// bit-identical to the scalar compiled path.
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
 
@@ -203,9 +201,9 @@ void clear();
 /// Plans currently resident.
 std::size_t size();
 
-/// Test override for the eviction threshold; nullopt restores the
-/// QHDL_PLAN_CACHE_CAPACITY env default (64 when unset). Shrinking below
-/// the resident count evicts least-recently-used plans immediately.
+/// Test override for the eviction threshold; nullopt restores the default
+/// of 64 plans. Shrinking below the resident count evicts
+/// least-recently-used plans immediately.
 void set_capacity(std::optional<std::size_t> capacity);
 
 }  // namespace plan_cache

@@ -19,9 +19,9 @@ Executor::Executor(Circuit circuit, std::vector<Observable> observables,
   }
   // Prime the compiled plan while construction is still single-threaded:
   // later run()/run_batch() calls (possibly from many worker threads at
-  // once) find the memoized slot already filled. No-op when a force flag
-  // disables compiled execution.
-  circuit_.compiled_plan();
+  // once) find the memoized slot already filled. The reference backend
+  // never plans.
+  if (!kernels::force_generic()) circuit_.compiled_plan();
 }
 
 std::vector<double> Executor::run(std::span<const double> params) const {
@@ -121,7 +121,7 @@ BatchAdjointVjpResult Executor::run_with_vjp_batch(
                              observables_, upstream);
   }
   // Per-row fallback (parameter-shift, non-diagonal observables, or the
-  // generic-kernel escape hatch).
+  // reference backend).
   BatchAdjointVjpResult result;
   result.batch = batch_rows;
   result.observable_count = obs_count;

@@ -279,8 +279,7 @@ void require_second_wire(GateType type, std::size_t wire1) {
 }
 
 /// Generic path: every single-qubit gate as a dense 2x2 matvec (the
-/// pre-specialization behavior, kept verbatim behind the
-/// QHDL_FORCE_GENERIC_KERNELS escape hatch).
+/// pre-specialization behavior, kept verbatim for the reference backend).
 void apply_gate_generic(StateVector& state, GateType type, double theta,
                         std::size_t wire0, std::size_t wire1) {
   switch (type) {

@@ -5,14 +5,11 @@
 // RZ/PhaseShift/S/T/Z/CZ, real-rotation updates for RX/RY, index
 // permutations for X/CNOT/SWAP, and dense complex 2x2 matvecs for
 // everything else. This header owns
-//   * the QHDL_FORCE_GENERIC_KERNELS escape hatch (env var or CMake option)
-//     that forces every gate back onto the generic dense-matrix path and
-//     disables fusion and the batched SoA executor — i.e. reproduces the
-//     pre-kernel code path bit-for-bit,
-//   * the QHDL_FORCE_UNCOMPILED escape hatch (same env/CMake/override
-//     plumbing) that keeps the specialized kernels but disables the cached
-//     ExecutionPlan path, restoring per-call circuit lowering (DESIGN.md
-//     §12); forcing generic kernels implies uncompiled execution, and
+//   * force_generic(), true exactly when the reference backend is active
+//     (QHDL_BACKEND=reference, DESIGN.md §13): every gate then takes the
+//     generic dense-matrix path one op at a time, with no plan, fusion, or
+//     batched SoA executor — the seed's code path, kept as the independent
+//     oracle for the compiled plans every production backend runs, and
 //   * per-kernel dispatch counters, so the FLOPs cost model's predicted gate
 //     mix can be checked against what the simulator actually executed
 //     (flops::classify_circuit / flops::dispatch_comparison_to_string).
@@ -22,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace qhdl::quantum {
@@ -50,26 +46,9 @@ struct KernelStatsSnapshot {
 
 namespace kernels {
 
-/// True when the escape hatch is active: the QHDL_FORCE_GENERIC_KERNELS
-/// environment variable is set to anything but "0"/"" at first use, the
-/// CMake option of the same name was ON at build time, or a test override
-/// is in place.
+/// True when the reference backend is active. Queried live, so a runtime
+/// util::simd::set_backend switch takes effect on the next gate.
 bool force_generic();
-
-/// Test override: true/false forces the mode, nullopt restores the
-/// env/build-time default. Not thread-safe against concurrent gate
-/// application (flip it only between runs).
-void set_force_generic(std::optional<bool> forced);
-
-/// True when the cached-plan escape hatch is active: QHDL_FORCE_UNCOMPILED
-/// env var set to anything but "0"/"" at first use, the CMake option of the
-/// same name ON at build time, or a test override. Circuits then lower
-/// per call instead of executing a cached ExecutionPlan. Implied by
-/// force_generic() (the generic path never compiles).
-bool force_uncompiled();
-
-/// Test override mirroring set_force_generic. Flip only between runs.
-void set_force_uncompiled(std::optional<bool> forced);
 
 // Counter bumps (relaxed; called from the hot loops in statevector.cpp).
 void count_diagonal();

@@ -2,13 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "nn/activations.hpp"
 #include "nn/dense.hpp"
-#include "nn/fastpath.hpp"
 #include "nn/sequential.hpp"
 #include "tensor/init.hpp"
+#include "test_helpers.hpp"
 
 namespace qhdl::nn {
 namespace {
@@ -76,7 +74,8 @@ TEST(Trainer, EpochStatsMatchModuleForwardOnBothPaths) {
     model.emplace<Dense>(5, 2, rng);
     Adam optimizer{1e-3};
 
-    fastpath::set_force_reference(force_reference);
+    const testing::BackendScope scope{force_reference ? "reference"
+                                                      : "generic"};
     TrainConfig config;
     config.epochs = 3;
     config.batch_size = 8;
@@ -87,7 +86,6 @@ TEST(Trainer, EpochStatsMatchModuleForwardOnBothPaths) {
     };
     const TrainHistory history = train_classifier(
         model, optimizer, x_train, y_train, x_val, y_val, config, rng);
-    fastpath::set_force_reference(std::nullopt);
     EXPECT_EQ(history.epochs_run, 3u);
   }
 }
@@ -105,14 +103,14 @@ TEST(Trainer, StoppingDecisionsIdenticalAcrossPaths) {
     model.emplace<Tanh>();
     model.emplace<Dense>(4, 2, rng);
     Adam optimizer{0.05};
-    fastpath::set_force_reference(force_reference);
+    const testing::BackendScope scope{force_reference ? "reference"
+                                                      : "generic"};
     TrainConfig config;
     config.epochs = 200;
     config.patience = 3;
     config.early_stop_accuracy = 0.98;
     const TrainHistory history = train_classifier(
         model, optimizer, x_train, y_train, x_val, y_val, config, rng);
-    fastpath::set_force_reference(std::nullopt);
     return history;
   };
   const TrainHistory fast = run(false);

@@ -2,12 +2,11 @@
 // supported non-reference backend must reproduce the generic backend's
 // amplitudes BIT-IDENTICALLY (EXPECT_EQ on raw doubles, not EXPECT_NEAR)
 // for the four registry-dispatched kernels and for full circuit execution,
-// compiled and uncompiled. The reference backend is held to 1e-12 on the
-// expval reduction only — its sequential sum order legitimately differs
-// from the canonical mod-8 lane order.
+// whose output bits are also pinned by golden digests. The reference
+// backend is held to 1e-12 on the expval reduction only — its sequential
+// sum order legitimately differs from the canonical mod-8 lane order.
 #include <complex>
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,8 +16,8 @@
 #include "qnn/encoding.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/kernels.hpp"
 #include "quantum/statevector.hpp"
+#include "test_helpers.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
@@ -31,13 +30,7 @@ using quantum::GateType;
 using quantum::StateVector;
 using Complex = std::complex<double>;
 
-/// Pins one backend for the scope; restores env/build/auto selection on
-/// exit.
-class BackendScope {
- public:
-  explicit BackendScope(const char* name) { simd::set_backend(name); }
-  ~BackendScope() { simd::set_backend(std::nullopt); }
-};
+using qhdl::testing::BackendScope;
 
 /// Supported non-reference backends other than generic — the ones bound by
 /// the bit-identity contract.
@@ -201,32 +194,44 @@ Circuit make_sel_circuit(std::size_t qubits, std::size_t depth,
 }
 
 TEST(BackendEquivalence, FullCircuitBitIdenticalCompiledAndUncompiled) {
+  // Digests captured from the per-call lowering that compiled plans
+  // replaced: the plan path must keep reproducing those exact bits, and
+  // stay within 1e-12 of the reference backend.
+  const char* const kGolden[] = {"1f6497e22683192b", "0c11feb25295cb05",
+                                 "dac2639b0cfc35c5"};
   util::Rng rng{2028};
+  std::size_t case_index = 0;
   for (const std::size_t qubits : {3u, 5u, 6u}) {
     std::vector<double> params;
     const Circuit circuit = make_sel_circuit(qubits, 4, params, rng);
-    for (const bool uncompiled : {false, true}) {
-      quantum::kernels::set_force_uncompiled(uncompiled);
-      StateVector golden = [&] {
-        const BackendScope scope{"generic"};
-        return circuit.execute(params);
-      }();
-      for (const simd::Backend* backend : simd_backends_under_test()) {
-        const BackendScope scope{backend->name};
-        const StateVector candidate = circuit.execute(params);
-        expect_states_bit_identical(
-            candidate, golden,
-            std::string{backend->name} + " SEL q=" + std::to_string(qubits) +
-                (uncompiled ? " uncompiled" : " compiled"));
-      }
-      quantum::kernels::set_force_uncompiled(std::nullopt);
+    const StateVector golden = [&] {
+      const BackendScope scope{"generic"};
+      return circuit.execute(params);
+    }();
+    EXPECT_EQ(qhdl::testing::Digest{}.complexes(golden.amplitudes()).hex(),
+              kGolden[case_index++])
+        << "generic SEL q=" << qubits;
+    const StateVector reference = [&] {
+      const BackendScope scope{"reference"};
+      return circuit.execute(params);
+    }();
+    for (std::size_t i = 0; i < golden.dimension(); ++i) {
+      EXPECT_LE(std::abs(reference.amplitudes()[i] - golden.amplitudes()[i]),
+                1e-12)
+          << "reference SEL q=" << qubits << " amplitude " << i;
+    }
+    for (const simd::Backend* backend : simd_backends_under_test()) {
+      const BackendScope scope{backend->name};
+      expect_states_bit_identical(
+          circuit.execute(params), golden,
+          std::string{backend->name} + " SEL q=" + std::to_string(qubits));
     }
   }
 }
 
 TEST(BackendEquivalence, ReferenceBackendCircuitMatchesGenericNumerically) {
   // The reference backend runs the seed's scalar path (generic kernels,
-  // uncompiled lowering); results agree with the registry's generic backend
+  // per-op loop, no plan); results agree with the registry's generic backend
   // to float tolerance — the historical KernelEquivalence contract.
   util::Rng rng{2029};
   std::vector<double> params;

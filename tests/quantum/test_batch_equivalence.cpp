@@ -3,12 +3,12 @@
 // reproduce the scalar per-row path BIT-IDENTICALLY (EXPECT_EQ on raw
 // doubles) on every supported backend, for every batch size — including the
 // odd tails (1, 3, 5, 7) that exercise the scalar remainder loops — in
-// compiled, uncompiled, and force-generic execution modes. The adjoint
-// batch VJP is held to the same contract against row-by-row adjoint_vjp
-// for the single-term diagonal observables the hybrid layer emits.
+// both execution modes: compiled plans on every production backend and the
+// reference backend's per-op loop. The adjoint batch VJP is held to the
+// same contract against row-by-row adjoint_vjp for the single-term
+// diagonal observables the hybrid layer emits.
 #include <complex>
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,13 +23,12 @@
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
-#include "util/backend_registry.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace qhdl;
-namespace simd = util::simd;
 using quantum::Circuit;
 using quantum::Observable;
 using quantum::StateVector;
@@ -39,22 +38,14 @@ using Complex = std::complex<double>;
 constexpr std::size_t kBatchSizes[] = {1, 3, 5, 7, 16};
 constexpr std::size_t kQubitCounts[] = {3, 4, 5};
 
-/// Pins one backend for the scope; restores env/build/auto selection on
-/// exit.
-class BackendScope {
- public:
-  explicit BackendScope(const char* name) { simd::set_backend(name); }
-  ~BackendScope() { simd::set_backend(std::nullopt); }
-};
+using qhdl::testing::BackendScope;
+using qhdl::testing::production_backends;
 
-/// All backends bound by the batched bit-identity contract: generic itself
-/// plus every supported non-reference SIMD backend.
-std::vector<const simd::Backend*> batch_backends_under_test() {
-  std::vector<const simd::Backend*> out;
-  for (const simd::Backend* backend : simd::backends()) {
-    if (backend->reference || !backend->supported()) continue;
-    out.push_back(backend);
-  }
+/// Both execution modes: compiled plans on every supported production
+/// backend, plus the reference backend's per-op loop.
+std::vector<const char*> execution_backends() {
+  std::vector<const char*> out = production_backends();
+  out.push_back("reference");
   return out;
 }
 
@@ -97,10 +88,10 @@ void expect_row_bit_identical(const StateVector& row, const StateVector& golden,
 
 TEST(BatchEquivalence, GateKernelsBitIdenticalPerRow) {
   util::Rng rng{41};
-  for (const simd::Backend* backend : batch_backends_under_test()) {
+  for (const char* backend : production_backends()) {
     for (const std::size_t qubits : kQubitCounts) {
       for (const std::size_t batch_size : kBatchSizes) {
-        const std::string label = std::string{backend->name} +
+        const std::string label = std::string{backend} +
                                   " q=" + std::to_string(qubits) +
                                   " b=" + std::to_string(batch_size);
         const quantum::Mat2 ry = quantum::gates::ry(rng.uniform(-3.0, 3.0));
@@ -116,7 +107,7 @@ TEST(BatchEquivalence, GateKernelsBitIdenticalPerRow) {
 
         StateVectorBatch batch{qubits, batch_size};
         std::vector<StateVector> rows = seed_batch(batch, rng);
-        const BackendScope scope{backend->name};
+        const BackendScope scope{backend};
         for (std::size_t w = 0; w < qubits; ++w) {
           batch.apply_single_qubit(ry, w);
           batch.apply_diagonal(d0, d1, w);
@@ -146,10 +137,10 @@ TEST(BatchEquivalence, GateKernelsBitIdenticalPerRow) {
 
 TEST(BatchEquivalence, ReductionsBitIdenticalPerRow) {
   util::Rng rng{42};
-  for (const simd::Backend* backend : batch_backends_under_test()) {
+  for (const char* backend : production_backends()) {
     for (const std::size_t qubits : kQubitCounts) {
       for (const std::size_t batch_size : kBatchSizes) {
-        const std::string label = std::string{backend->name} +
+        const std::string label = std::string{backend} +
                                   " q=" + std::to_string(qubits) +
                                   " b=" + std::to_string(batch_size);
         StateVectorBatch batch{qubits, batch_size};
@@ -157,7 +148,7 @@ TEST(BatchEquivalence, ReductionsBitIdenticalPerRow) {
         StateVectorBatch other{qubits, batch_size};
         const std::vector<StateVector> other_rows = seed_batch(other, rng);
 
-        const BackendScope scope{backend->name};
+        const BackendScope scope{backend};
         std::vector<double> out(batch_size);
         for (std::size_t w = 0; w < qubits; ++w) {
           batch.expval_pauli_z(w, out);
@@ -215,35 +206,6 @@ std::vector<double> make_batch_params(const std::vector<double>& proto,
   return params;
 }
 
-enum class ExecMode { Compiled, Uncompiled, ForceGeneric };
-
-constexpr ExecMode kExecModes[] = {ExecMode::Compiled, ExecMode::Uncompiled,
-                                   ExecMode::ForceGeneric};
-
-const char* mode_name(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::Compiled: return "compiled";
-    case ExecMode::Uncompiled: return "uncompiled";
-    case ExecMode::ForceGeneric: return "generic-kernels";
-  }
-  return "?";
-}
-
-/// Pins one execution mode (plan / runtime fuser / unfused generic); the
-/// batch driver mirrors the scalar lowering mode-for-mode, which is what
-/// makes the EXPECT_EQ below valid.
-class ExecModeScope {
- public:
-  explicit ExecModeScope(ExecMode mode) {
-    quantum::kernels::set_force_generic(mode == ExecMode::ForceGeneric);
-    quantum::kernels::set_force_uncompiled(mode == ExecMode::Uncompiled);
-  }
-  ~ExecModeScope() {
-    quantum::kernels::set_force_generic(std::nullopt);
-    quantum::kernels::set_force_uncompiled(std::nullopt);
-  }
-};
-
 TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
   util::Rng rng{43};
   for (const std::size_t qubits : kQubitCounts) {
@@ -252,23 +214,19 @@ TEST(BatchEquivalence, CircuitRunBitIdenticalPerRowAllModes) {
     for (const std::size_t batch_size : kBatchSizes) {
       const std::vector<double> params =
           make_batch_params(proto, qubits, batch_size, rng);
-      for (const ExecMode mode : kExecModes) {
-        const ExecModeScope mode_scope{mode};
-        for (const simd::Backend* backend : batch_backends_under_test()) {
-          const BackendScope scope{backend->name};
-          StateVectorBatch batch{qubits, batch_size};
-          circuit.run_batch(batch, params, proto.size());
-          for (std::size_t b = 0; b < batch_size; ++b) {
-            const std::span<const double> row_params{
-                params.data() + b * proto.size(), proto.size()};
-            const StateVector golden = circuit.execute(row_params);
-            expect_row_bit_identical(
-                batch.extract_row(b), golden,
-                std::string{backend->name} + " " + mode_name(mode) +
-                    " q=" + std::to_string(qubits) +
-                    " b=" + std::to_string(batch_size) + " row " +
-                    std::to_string(b));
-          }
+      for (const char* backend : execution_backends()) {
+        const BackendScope scope{backend};
+        StateVectorBatch batch{qubits, batch_size};
+        circuit.run_batch(batch, params, proto.size());
+        for (std::size_t b = 0; b < batch_size; ++b) {
+          const std::span<const double> row_params{
+              params.data() + b * proto.size(), proto.size()};
+          const StateVector golden = circuit.execute(row_params);
+          expect_row_bit_identical(
+              batch.extract_row(b), golden,
+              std::string{backend} + " q=" + std::to_string(qubits) +
+                  " b=" + std::to_string(batch_size) + " row " +
+                  std::to_string(b));
         }
       }
     }
@@ -291,34 +249,30 @@ TEST(BatchEquivalence, AdjointVjpBitIdenticalPerRowAllModes) {
     for (auto& u : upstream) u = rng.uniform(-1.0, 1.0);
     // Exercise the w == 0 skip, which both seeds share.
     upstream[0] = 0.0;
-    for (const ExecMode mode : kExecModes) {
-      const ExecModeScope mode_scope{mode};
-      for (const simd::Backend* backend : batch_backends_under_test()) {
-        const BackendScope scope{backend->name};
-        const std::string label = std::string{backend->name} + " " +
-                                  mode_name(mode) +
-                                  " b=" + std::to_string(batch_size);
-        const auto batched = quantum::adjoint_vjp_batch(
-            circuit, params, proto.size(), batch_size, observables, upstream);
-        ASSERT_EQ(batched.expectations.size(), batch_size * qubits) << label;
-        ASSERT_EQ(batched.gradient.size(), batch_size * proto.size()) << label;
-        for (std::size_t b = 0; b < batch_size; ++b) {
-          const std::span<const double> row_params{
-              params.data() + b * proto.size(), proto.size()};
-          const std::span<const double> row_up{upstream.data() + b * qubits,
-                                               qubits};
-          const auto row =
-              quantum::adjoint_vjp(circuit, row_params, observables, row_up);
-          for (std::size_t k = 0; k < qubits; ++k) {
-            EXPECT_EQ(batched.expectations[b * qubits + k],
-                      row.expectations[k])
-                << label << " expectation row " << b << " obs " << k;
-          }
-          for (std::size_t p = 0; p < proto.size(); ++p) {
-            EXPECT_EQ(batched.gradient[b * proto.size() + p],
-                      row.gradient[p])
-                << label << " gradient row " << b << " param " << p;
-          }
+    for (const char* backend : execution_backends()) {
+      const BackendScope scope{backend};
+      const std::string label =
+          std::string{backend} + " b=" + std::to_string(batch_size);
+      const auto batched = quantum::adjoint_vjp_batch(
+          circuit, params, proto.size(), batch_size, observables, upstream);
+      ASSERT_EQ(batched.expectations.size(), batch_size * qubits) << label;
+      ASSERT_EQ(batched.gradient.size(), batch_size * proto.size()) << label;
+      for (std::size_t b = 0; b < batch_size; ++b) {
+        const std::span<const double> row_params{
+            params.data() + b * proto.size(), proto.size()};
+        const std::span<const double> row_up{upstream.data() + b * qubits,
+                                             qubits};
+        const auto row =
+            quantum::adjoint_vjp(circuit, row_params, observables, row_up);
+        for (std::size_t k = 0; k < qubits; ++k) {
+          EXPECT_EQ(batched.expectations[b * qubits + k],
+                    row.expectations[k])
+              << label << " expectation row " << b << " obs " << k;
+        }
+        for (std::size_t p = 0; p < proto.size(); ++p) {
+          EXPECT_EQ(batched.gradient[b * proto.size() + p],
+                    row.gradient[p])
+              << label << " gradient row " << b << " param " << p;
         }
       }
     }

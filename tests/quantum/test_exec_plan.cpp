@@ -1,8 +1,10 @@
-// Compiled execution plans (DESIGN.md §12): golden compiled-vs-uncompiled
-// equivalence for every gate × position × {3,4,5} qubits, fusion/cancellation
-// lowering invariants, the process-wide plan cache (determinism across
-// threads, LRU eviction, fault-injected flushes), and the strict parameter
-// size contract the compile pass relies on.
+// Compiled execution plans (DESIGN.md §12): plan-vs-reference equivalence
+// for every gate × position × {3,4,5} qubits, golden digests pinning the
+// plan's batch and adjoint output bits, fusion/cancellation lowering
+// invariants, the process-wide plan cache (determinism across threads, LRU
+// eviction, fault-injected flushes), the plan-or-reference execution split,
+// and the strict parameter size contract the compile pass relies on.
+#include <complex>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -13,6 +15,7 @@
 
 #include "qnn/ansatz.hpp"
 #include "qnn/encoding.hpp"
+#include "qnn/quantum_layer.hpp"
 #include "quantum/adjoint_diff.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/exec_plan.hpp"
@@ -21,6 +24,8 @@
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "tensor/init.hpp"
+#include "test_helpers.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
@@ -34,19 +39,11 @@ using quantum::GateType;
 using quantum::Observable;
 using quantum::StateVector;
 using quantum::StateVectorBatch;
+using qhdl::testing::BackendScope;
+using qhdl::testing::Digest;
+using qhdl::testing::production_backends;
 
 constexpr double kTol = 1e-12;
-
-/// Forces per-call lowering inside the scope; restores the default on exit.
-class UncompiledScope {
- public:
-  explicit UncompiledScope(bool uncompiled) {
-    quantum::kernels::set_force_uncompiled(uncompiled);
-  }
-  ~UncompiledScope() {
-    quantum::kernels::set_force_uncompiled(std::nullopt);
-  }
-};
 
 const std::vector<GateType> kAllGates = {
     GateType::PauliX, GateType::PauliY, GateType::PauliZ,
@@ -81,22 +78,23 @@ Circuit make_sel_circuit(std::size_t qubits, std::size_t depth,
   return circuit;
 }
 
-/// Runs `circuit` compiled and uncompiled from |0...0> and checks 1e-12
+/// Runs `circuit` from |0...0> through its compiled plan (generic backend)
+/// and through the reference backend's per-op loop, and checks 1e-12
 /// amplitude agreement.
-void check_compiled_matches_uncompiled(const Circuit& circuit,
-                                       std::span<const double> params,
-                                       const std::string& label) {
-  StateVector compiled{circuit.num_qubits()};
-  StateVector uncompiled{circuit.num_qubits()};
+void check_plan_matches_reference(const Circuit& circuit,
+                                  std::span<const double> params,
+                                  const std::string& label) {
+  StateVector planned{circuit.num_qubits()};
+  StateVector reference{circuit.num_qubits()};
   {
-    const UncompiledScope scope{false};
-    circuit.run(compiled, params);
+    const BackendScope scope{"generic"};
+    circuit.run(planned, params);
   }
   {
-    const UncompiledScope scope{true};
-    circuit.run(uncompiled, params);
+    const BackendScope scope{"reference"};
+    circuit.run(reference, params);
   }
-  expect_states_close(compiled, uncompiled, kTol, label);
+  expect_states_close(planned, reference, kTol, label);
 }
 
 TEST(ExecPlan, EveryGateEveryPositionMatchesUncompiled) {
@@ -126,7 +124,7 @@ TEST(ExecPlan, EveryGateEveryPositionMatchesUncompiled) {
         }
         circuit.parameterized_gate(GateType::RX, slot++, w0);
         const auto params = rng.uniform_vector(slot, -3.0, 3.0);
-        check_compiled_matches_uncompiled(
+        check_plan_matches_reference(
             circuit, params,
             quantum::gate_name(type) + " q=" + std::to_string(qubits) +
                 " w0=" + std::to_string(w0));
@@ -141,15 +139,20 @@ TEST(ExecPlan, SelAnsatzMatchesUncompiledAllDepths) {
     for (const std::size_t depth : {1u, 4u, 10u}) {
       std::vector<double> params;
       const Circuit circuit = make_sel_circuit(qubits, depth, params, rng);
-      check_compiled_matches_uncompiled(
+      check_plan_matches_reference(
           circuit, params,
           "SEL q=" + std::to_string(qubits) + " d=" + std::to_string(depth));
     }
   }
 }
 
+// Golden digests of the output bits, captured from the per-call lowering
+// that plans replaced; every production backend must reproduce them and
+// stay within 1e-12 of the reference backend.
 TEST(ExecPlan, RunBatchBitIdenticalToUncompiled) {
+  const char* const kGolden[] = {"71c2971a716a96c9", "9e77bd459d88bc09"};
   util::Rng rng{17};
+  std::size_t case_index = 0;
   for (const std::size_t qubits : {3u, 5u}) {
     std::vector<double> proto;
     const Circuit circuit = make_sel_circuit(qubits, 3, proto, rng);
@@ -162,25 +165,25 @@ TEST(ExecPlan, RunBatchBitIdenticalToUncompiled) {
             p < qubits ? rng.uniform(-2.0, 2.0) : proto[p];
       }
     }
-    StateVectorBatch compiled{qubits, batch};
-    StateVectorBatch uncompiled{qubits, batch};
+    StateVectorBatch reference{qubits, batch};
     {
-      const UncompiledScope scope{false};
-      circuit.run_batch(compiled, params, stride);
+      const BackendScope scope{"reference"};
+      circuit.run_batch(reference, params, stride);
     }
-    {
-      const UncompiledScope scope{true};
-      circuit.run_batch(uncompiled, params, stride);
+    for (const char* backend : production_backends()) {
+      const BackendScope scope{backend};
+      StateVectorBatch out{qubits, batch};
+      circuit.run_batch(out, params, stride);
+      EXPECT_EQ(Digest{}.complexes(out.amplitudes()).hex(),
+                kGolden[case_index])
+          << backend << " q=" << qubits;
+      for (std::size_t i = 0; i < out.amplitudes().size(); ++i) {
+        EXPECT_LE(std::abs(out.amplitudes()[i] - reference.amplitudes()[i]),
+                  kTol)
+            << backend << " q=" << qubits << " amplitude " << i;
+      }
     }
-    // The compiled flat stream drives the exact same batch kernels, so the
-    // amplitudes must be bit-identical, not merely close.
-    const auto lhs = compiled.amplitudes();
-    const auto rhs = uncompiled.amplitudes();
-    ASSERT_EQ(lhs.size(), rhs.size());
-    for (std::size_t i = 0; i < lhs.size(); ++i) {
-      EXPECT_EQ(lhs[i].real(), rhs[i].real()) << "amplitude " << i;
-      EXPECT_EQ(lhs[i].imag(), rhs[i].imag()) << "amplitude " << i;
-    }
+    ++case_index;
   }
 }
 
@@ -195,30 +198,34 @@ TEST(ExecPlan, AdjointVjpBitIdenticalToUncompiled) {
     observables.push_back(Observable::pauli_z(w));
     upstream.push_back(rng.uniform(-1.0, 1.0));
   }
-  quantum::AdjointVjpResult compiled, uncompiled;
-  {
-    const UncompiledScope scope{false};
-    compiled = quantum::adjoint_vjp(circuit, params, observables, upstream);
-  }
-  {
-    const UncompiledScope scope{true};
-    uncompiled =
+  const quantum::AdjointVjpResult reference = [&] {
+    const BackendScope scope{"reference"};
+    return quantum::adjoint_vjp(circuit, params, observables, upstream);
+  }();
+  for (const char* backend : production_backends()) {
+    const BackendScope scope{backend};
+    const quantum::AdjointVjpResult result =
         quantum::adjoint_vjp(circuit, params, observables, upstream);
-  }
-  ASSERT_EQ(compiled.gradient.size(), uncompiled.gradient.size());
-  for (std::size_t p = 0; p < compiled.gradient.size(); ++p) {
-    EXPECT_EQ(compiled.gradient[p], uncompiled.gradient[p]) << "param " << p;
-  }
-  for (std::size_t k = 0; k < observables.size(); ++k) {
-    EXPECT_EQ(compiled.expectations[k], uncompiled.expectations[k])
-        << "obs " << k;
+    EXPECT_EQ(Digest{}.doubles(result.gradient).hex(), "57fb7bd4d2e35fca")
+        << backend;
+    EXPECT_EQ(Digest{}.doubles(result.expectations).hex(),
+              "d66ed9e48e7d9f16")
+        << backend;
+    for (std::size_t p = 0; p < result.gradient.size(); ++p) {
+      EXPECT_NEAR(result.gradient[p], reference.gradient[p], kTol)
+          << backend << " param " << p;
+    }
+    for (std::size_t k = 0; k < result.expectations.size(); ++k) {
+      EXPECT_NEAR(result.expectations[k], reference.expectations[k], kTol)
+          << backend << " obs " << k;
+    }
   }
 }
 
 TEST(ExecPlan, InvolutionPairsCancel) {
   // X·X, CNOT·CNOT, CZ·CZ (reversed wires too — CZ is symmetric), SWAP·SWAP
   // are pure permutations/sign flips; the peephole pass removes them and the
-  // compiled state still matches the uncompiled one exactly.
+  // compiled state still matches the reference backend's per-op loop.
   Circuit circuit{3};
   circuit.gate(GateType::Hadamard, 0);
   circuit.gate(GateType::PauliX, 1);
@@ -237,7 +244,7 @@ TEST(ExecPlan, InvolutionPairsCancel) {
   EXPECT_EQ(plan->flat_ops().size(), 2u);  // Hadamard + RY survive
 
   const std::vector<double> params = {0.37};
-  check_compiled_matches_uncompiled(circuit, params, "involution pairs");
+  check_plan_matches_reference(circuit, params, "involution pairs");
 }
 
 TEST(ExecPlan, CnotReversedWiresDoesNotCancel) {
@@ -249,7 +256,7 @@ TEST(ExecPlan, CnotReversedWiresDoesNotCancel) {
   circuit.gate(GateType::CNOT, 1, 0);
   const auto plan = quantum::compile_circuit(circuit);
   EXPECT_EQ(plan->cancelled_op_count(), 0u);
-  check_compiled_matches_uncompiled(circuit, {}, "reversed CNOT");
+  check_plan_matches_reference(circuit, {}, "reversed CNOT");
 }
 
 TEST(ExecPlan, FixedSingleQubitChainsPrecompute) {
@@ -262,7 +269,7 @@ TEST(ExecPlan, FixedSingleQubitChainsPrecompute) {
   ASSERT_EQ(plan->fused_ops().size(), 1u);
   EXPECT_EQ(plan->fused_ops()[0].kind, FusedOp::Kind::FixedChain);
   EXPECT_EQ(plan->fused_ops()[0].gate_count, 3u);
-  check_compiled_matches_uncompiled(circuit, {}, "H S H fixed chain");
+  check_plan_matches_reference(circuit, {}, "H S H fixed chain");
 }
 
 TEST(ExecPlan, DiagonalChainsPrecomputeDiagonal) {
@@ -274,7 +281,7 @@ TEST(ExecPlan, DiagonalChainsPrecomputeDiagonal) {
   const auto plan = quantum::compile_circuit(circuit);
   ASSERT_EQ(plan->fused_ops().size(), 1u);
   EXPECT_EQ(plan->fused_ops()[0].kind, FusedOp::Kind::DiagonalChain);
-  check_compiled_matches_uncompiled(circuit, {}, "S T Z diagonal chain");
+  check_plan_matches_reference(circuit, {}, "S T Z diagonal chain");
 }
 
 TEST(ExecPlan, AdjacentFixedTwoQubitGatesFuseToPair) {
@@ -295,7 +302,7 @@ TEST(ExecPlan, AdjacentFixedTwoQubitGatesFuseToPair) {
       }
     }
     EXPECT_TRUE(saw_pair);
-    check_compiled_matches_uncompiled(circuit, {}, "CNOT CZ same order");
+    check_plan_matches_reference(circuit, {}, "CNOT CZ same order");
   }
   {
     Circuit circuit{3};
@@ -309,7 +316,7 @@ TEST(ExecPlan, AdjacentFixedTwoQubitGatesFuseToPair) {
       if (op.kind == FusedOp::Kind::FusedPair) saw_pair = true;
     }
     EXPECT_TRUE(saw_pair);
-    check_compiled_matches_uncompiled(circuit, {}, "CNOT CZ flipped order");
+    check_plan_matches_reference(circuit, {}, "CNOT CZ flipped order");
   }
   {
     Circuit circuit{3};
@@ -322,7 +329,7 @@ TEST(ExecPlan, AdjacentFixedTwoQubitGatesFuseToPair) {
           << "parameterized two-qubit gates must not pair-fuse";
     }
     const std::vector<double> cr_params = {0.4, -0.9};
-    check_compiled_matches_uncompiled(circuit, cr_params,
+    check_plan_matches_reference(circuit, cr_params,
                                       "parameterized CR chain");
   }
 }
@@ -354,9 +361,6 @@ TEST(ExecPlan, StructureKeyDistinguishesAngleAndShape) {
 }
 
 TEST(ExecPlan, CacheHitsShareOnePlanAcrossThreads) {
-  // Pin compiled execution so the test also passes under a
-  // QHDL_FORCE_UNCOMPILED environment (the forced-uncompiled CI leg).
-  const UncompiledScope scope{false};
   quantum::plan_cache::clear();
   quantum::plan_cache::reset_stats();
 
@@ -391,7 +395,6 @@ TEST(ExecPlan, CacheHitsShareOnePlanAcrossThreads) {
 }
 
 TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
-  const UncompiledScope scope{false};
   Circuit circuit{3};
   circuit.gate(GateType::Hadamard, 0);
   const auto before = circuit.compiled_plan();
@@ -405,7 +408,6 @@ TEST(ExecPlan, MemoizedSlotInvalidatesOnMutation) {
 }
 
 TEST(ExecPlan, LruEvictionHonorsCapacity) {
-  const UncompiledScope scope{false};
   quantum::plan_cache::clear();
   quantum::plan_cache::reset_stats();
   quantum::plan_cache::set_capacity(2);
@@ -457,21 +459,47 @@ TEST(ExecPlan, FaultInjectionFlushesCache) {
   quantum::plan_cache::clear();
 }
 
-TEST(ExecPlan, ForcedUncompiledDisablesPlans) {
-  Circuit circuit{3};
-  circuit.gate(GateType::Hadamard, 0);
+TEST(ExecPlan, ReferenceBackendNeverCompilesProductionAlwaysPlans) {
+  // A circuit runs one of exactly two ways: the reference backend's per-op
+  // loop (no plan lookup, no batched rows in the hybrid layer) or, on every
+  // production backend, its cached plan. Each pass builds fresh circuits,
+  // so any plan use goes through the cache and shows up in its stats.
+  const auto exercise = [] {
+    quantum::plan_cache::reset_stats();
+    quantum::kernels::reset_stats();
+    util::Rng rng{41};
+    qnn::QuantumLayerConfig config;
+    config.qubits = 4;
+    config.depth = 2;
+    config.threads = 1;
+    qnn::QuantumLayer layer{config, rng};
+    const tensor::Tensor x =
+        tensor::uniform(tensor::Shape{3, 4}, -1.0, 1.0, rng);
+    layer.forward(x);
+    layer.backward(x);
+    std::vector<double> params;
+    const Circuit circuit = make_sel_circuit(3, 2, params, rng);
+    StateVector state{3};
+    circuit.run(state, params);
+    const std::vector<Observable> observables = {Observable::pauli_z(0)};
+    const std::vector<double> upstream = {0.5};
+    quantum::adjoint_vjp(circuit, params, observables, upstream);
+  };
   {
-    const UncompiledScope scope{true};
-    EXPECT_EQ(circuit.compiled_plan(), nullptr);
+    const BackendScope scope{"reference"};
+    exercise();
+    const auto plans = quantum::plan_cache::stats();
+    EXPECT_EQ(plans.hits + plans.misses, 0u) << "reference never plans";
+    EXPECT_EQ(quantum::kernels::stats().batched_rows, 0u);
+    EXPECT_EQ(quantum::kernels::stats().fused, 0u);
   }
-  // force_generic implies force_uncompiled: the generic path never compiles.
-  quantum::kernels::set_force_generic(true);
-  EXPECT_TRUE(quantum::kernels::force_uncompiled());
-  EXPECT_EQ(circuit.compiled_plan(), nullptr);
-  quantum::kernels::set_force_generic(std::nullopt);
-  {
-    const UncompiledScope scope{false};
-    EXPECT_NE(circuit.compiled_plan(), nullptr);
+  for (const char* backend : production_backends()) {
+    const BackendScope scope{backend};
+    exercise();
+    const auto plans = quantum::plan_cache::stats();
+    EXPECT_GT(plans.hits + plans.misses, 0u) << backend;
+    EXPECT_GT(quantum::kernels::stats().fused, 0u) << backend;
+    EXPECT_GT(quantum::kernels::stats().batched_rows, 0u) << backend;
   }
 }
 
@@ -494,14 +522,6 @@ TEST(ExecPlan, RunRejectsWrongSizedParams) {
   EXPECT_THROW(circuit.run_batch(batch, batch_long, 2),
                std::invalid_argument);
   EXPECT_NO_THROW(circuit.run_batch(batch, batch_exact, 2));
-}
-
-TEST(ExecPlan, ForceUncompiledOverrideLatches) {
-  quantum::kernels::set_force_uncompiled(true);
-  EXPECT_TRUE(quantum::kernels::force_uncompiled());
-  quantum::kernels::set_force_uncompiled(false);
-  EXPECT_FALSE(quantum::kernels::force_uncompiled());
-  quantum::kernels::set_force_uncompiled(std::nullopt);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Golden-state equivalence suite for the specialized gate kernels
 // (DESIGN.md §8): every gate type × every qubit position × {3,4,5} qubits,
-// specialized dispatch must match the generic dense path to 1e-12 on a
-// random non-trivial state — plus fused-chain, batched-SoA, and
-// gradient-preservation properties.
+// specialized dispatch (generic backend) must match the reference
+// backend's dense path to 1e-12 on a random non-trivial state — plus
+// fused-chain, batched-SoA, and gradient-preservation properties.
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include "quantum/observable.hpp"
 #include "quantum/statevector.hpp"
 #include "quantum/statevector_batch.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -31,15 +31,7 @@ using quantum::StateVectorBatch;
 
 constexpr double kTol = 1e-12;
 
-/// Scopes the escape hatch: specialized inside SpecializedScope{false},
-/// generic inside SpecializedScope{true}; restores the default on exit.
-class KernelScope {
- public:
-  explicit KernelScope(bool generic) {
-    quantum::kernels::set_force_generic(generic);
-  }
-  ~KernelScope() { quantum::kernels::set_force_generic(std::nullopt); }
-};
+using qhdl::testing::BackendScope;
 
 const std::vector<GateType> kAllGates = {
     GateType::PauliX, GateType::PauliY, GateType::PauliZ,
@@ -54,7 +46,8 @@ const std::vector<GateType> kAllGates = {
 /// wire, then a CNOT ring, then per-wire RY with distinct angles.
 StateVector random_state(std::size_t qubits, util::Rng& rng) {
   StateVector state{qubits};
-  const KernelScope scope{true};  // preparation always via generic kernels
+  // Preparation always via the reference backend's generic kernels.
+  const BackendScope scope{"reference"};
   for (std::size_t w = 0; w < qubits; ++w) {
     state.apply_single_qubit(quantum::gates::hadamard(), w);
     state.apply_single_qubit(quantum::gates::t(), w);
@@ -93,11 +86,11 @@ void check_both_modes(const StateVector& initial, const ApplyFn& apply_fn,
   StateVector specialized = initial;
   StateVector generic = initial;
   {
-    const KernelScope scope{false};
+    const BackendScope scope{"generic"};
     apply_fn(specialized);
   }
   {
-    const KernelScope scope{true};
+    const BackendScope scope{"reference"};
     apply_fn(generic);
   }
   expect_states_close(specialized, generic, kTol, label);
@@ -158,7 +151,7 @@ TEST(KernelEquivalence, InverseGatesMatchGeneric) {
 
 TEST(KernelEquivalence, InverseUndoesGate) {
   util::Rng rng{77};
-  const KernelScope scope{false};
+  const BackendScope scope{"generic"};
   for (const GateType type : kAllGates) {
     const std::size_t qubits = 4;
     const double theta = rng.uniform(-3.0, 3.0);
@@ -221,7 +214,7 @@ TEST(KernelEquivalence, FusedCircuitRunMatchesGeneric) {
     StateVector generic{qubits};
     quantum::kernels::reset_stats();
     {
-      const KernelScope scope{false};
+      const BackendScope scope{"generic"};
       circuit.run(fused, params);
     }
     const auto stats = quantum::kernels::stats();
@@ -229,7 +222,7 @@ TEST(KernelEquivalence, FusedCircuitRunMatchesGeneric) {
     EXPECT_GT(stats.fused_gates, stats.fused)
         << "each fused chain absorbs >= 2 gates";
     {
-      const KernelScope scope{true};
+      const BackendScope scope{"reference"};
       circuit.run(generic, params);
     }
     expect_states_close(fused, generic, kTol,
@@ -255,14 +248,14 @@ TEST(KernelEquivalence, SpecializedExpectationsBitIdenticalNoFusion) {
 
   std::vector<double> specialized, generic;
   {
-    const KernelScope scope{false};
+    const BackendScope scope{"generic"};
     const StateVector psi = circuit.execute(params);
     for (std::size_t w = 0; w < qubits; ++w) {
       specialized.push_back(psi.expval_pauli_z(w));
     }
   }
   {
-    const KernelScope scope{true};
+    const BackendScope scope{"reference"};
     const StateVector psi = circuit.execute(params);
     for (std::size_t w = 0; w < qubits; ++w) {
       generic.push_back(psi.expval_pauli_z(w));
@@ -289,7 +282,7 @@ TEST(KernelEquivalence, BatchedRunMatchesPerRow) {
             p < qubits ? rng.uniform(-2.0, 2.0) : params_proto[p];
       }
     }
-    const KernelScope scope{false};
+    const BackendScope scope{"generic"};
     StateVectorBatch sv_batch{qubits, batch};
     circuit.run_batch(sv_batch, params, stride);
     for (std::size_t b = 0; b < batch; ++b) {
@@ -329,7 +322,7 @@ TEST(KernelEquivalence, BatchedVjpMatchesPerRowVjp) {
   std::vector<double> upstream(batch * qubits);
   for (auto& u : upstream) u = rng.uniform(-1.0, 1.0);
 
-  const KernelScope scope{false};
+  const BackendScope scope{"generic"};
   const auto batched = quantum::adjoint_vjp_batch(
       circuit, params, stride, batch, observables, upstream);
   ASSERT_EQ(batched.expectations.size(), batch * qubits);
@@ -375,12 +368,12 @@ TEST(KernelEquivalence, FusionPreservesAdjointGradients) {
     }
     quantum::AdjointVjpResult specialized, generic;
     {
-      const KernelScope scope{false};
+      const BackendScope scope{"generic"};
       specialized =
           quantum::adjoint_vjp(circuit, params, observables, upstream);
     }
     {
-      const KernelScope scope{true};
+      const BackendScope scope{"reference"};
       generic = quantum::adjoint_vjp(circuit, params, observables, upstream);
     }
     ASSERT_EQ(specialized.gradient.size(), generic.gradient.size());
@@ -396,7 +389,7 @@ TEST(KernelEquivalence, FusionPreservesAdjointGradients) {
 }
 
 TEST(KernelEquivalence, DispatchCountersClassifyCircuit) {
-  const KernelScope scope{false};
+  const BackendScope scope{"generic"};
   quantum::kernels::reset_stats();
   StateVector state{3};
   quantum::apply_gate(state, GateType::RZ, 0.3, 0);
@@ -414,16 +407,6 @@ TEST(KernelEquivalence, DispatchCountersClassifyCircuit) {
   EXPECT_EQ(stats.controlled, 1u);
   EXPECT_EQ(stats.double_flip, 1u);
   EXPECT_EQ(stats.total_dispatches(), 7u);
-}
-
-TEST(KernelEquivalence, ForceGenericEnvOverrideLatches) {
-  // The test-override API wins over the env/build default in both
-  // directions and resets cleanly.
-  quantum::kernels::set_force_generic(true);
-  EXPECT_TRUE(quantum::kernels::force_generic());
-  quantum::kernels::set_force_generic(false);
-  EXPECT_FALSE(quantum::kernels::force_generic());
-  quantum::kernels::set_force_generic(std::nullopt);
 }
 
 }  // namespace

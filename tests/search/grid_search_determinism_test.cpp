@@ -4,16 +4,14 @@
 // pruned candidate could still win the search under threads > 1.)
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <stdexcept>
 
 #include "core/config.hpp"
 #include "data/preprocess.hpp"
-#include "nn/fastpath.hpp"
-#include "quantum/kernels.hpp"
 #include "search/experiment.hpp"
 #include "search/grid_search.hpp"
 #include "search/search_space.hpp"
+#include "test_helpers.hpp"
 
 namespace qhdl::search {
 namespace {
@@ -136,20 +134,22 @@ TEST(GridSearchDeterminism, LookaheadWindowDoesNotChangeResults) {
   expect_identical(serial, speculative);
 }
 
-// The workspace fast path (default) and the QHDL_FORCE_REFERENCE_NN module
-// path must produce the same search outcome bit for bit — the classical
-// training results are interchangeable between the two trainers.
+// The workspace fast path (production backends) and the reference
+// backend's Module path must produce the same search outcome bit for bit —
+// the classical training results are interchangeable between the two
+// trainers.
 TEST(GridSearchDeterminism, WorkspaceAndReferencePathsAgree) {
   auto config = base_config();
   config.accuracy_threshold = 0.34;
   const auto dataset = level_dataset(6, core::test_scale());
 
-  nn::fastpath::set_force_reference(false);
   config.threads = 1;
-  const auto workspace =
-      run_repeated_search(paper_classical_space(), dataset, config);
+  const auto workspace = [&] {
+    const testing::BackendScope scope{"generic"};
+    return run_repeated_search(paper_classical_space(), dataset, config);
+  }();
 
-  nn::fastpath::set_force_reference(true);
+  const testing::BackendScope scope{"reference"};
   const auto reference =
       run_repeated_search(paper_classical_space(), dataset, config);
 
@@ -157,40 +157,60 @@ TEST(GridSearchDeterminism, WorkspaceAndReferencePathsAgree) {
   config.threads = 4;
   const auto reference_parallel =
       run_repeated_search(paper_classical_space(), dataset, config);
-  nn::fastpath::set_force_reference(std::nullopt);
 
   expect_identical(workspace, reference);
   expect_identical(workspace, reference_parallel);
 }
 
-// Compiled execution plans (the default) and QHDL_FORCE_UNCOMPILED per-call
-// lowering must produce bit-identical hybrid search outcomes: the plan's
-// fused scalar stream, flat batch stream, and adjoint sweeps all reproduce
-// the uncompiled arithmetic exactly, so every TrainHistory — and therefore
-// every accuracy, prune decision, and winner — matches.
+/// FNV-1a over every result field expect_identical compares.
+std::string outcome_digest(const RepeatedSearchResult& result) {
+  testing::Digest digest;
+  const auto candidate = [&](const CandidateResult& c) {
+    digest.text(c.spec.to_string())
+        .value(static_cast<std::uint64_t>(c.runs))
+        .value(static_cast<std::uint64_t>(c.meets_threshold))
+        .value(c.avg_best_train_accuracy)
+        .value(c.avg_best_val_accuracy)
+        .value(c.flops);
+  };
+  for (const SearchOutcome& outcome : result.repetitions) {
+    digest.value(static_cast<std::uint64_t>(outcome.candidates_trained));
+    for (const CandidateResult& c : outcome.evaluated) candidate(c);
+    if (outcome.winner.has_value()) candidate(*outcome.winner);
+  }
+  digest.value(static_cast<std::uint64_t>(result.successful_repetitions))
+      .value(result.mean_winner_flops)
+      .value(result.mean_winner_parameters);
+  if (result.smallest_winner.has_value()) candidate(*result.smallest_winner);
+  return digest.hex();
+}
+
+// Compiled execution plans must keep reproducing the hybrid search outcome
+// of the per-call lowering they replaced, pinned by a digest captured from
+// that lowering: the plan's fused scalar stream, flat batch stream, and
+// adjoint sweeps reproduce its arithmetic exactly, so every TrainHistory —
+// and therefore every accuracy, prune decision, and winner — matches, on
+// every production backend and at any thread count.
 TEST(GridSearchDeterminism, CompiledAndUncompiledPlansAgree) {
   auto config = base_config();
   config.accuracy_threshold = 0.34;
   config.max_candidates = 3;
   const auto dataset = level_dataset(4, core::test_scale());
+  const auto space = paper_hybrid_space(qnn::AnsatzKind::BasicEntangler);
+  const std::string golden = "a3154c8a41486079";
 
-  quantum::kernels::set_force_uncompiled(false);
-  config.threads = 1;
-  const auto compiled = run_repeated_search(
-      paper_hybrid_space(qnn::AnsatzKind::BasicEntangler), dataset, config);
-
-  quantum::kernels::set_force_uncompiled(true);
-  const auto uncompiled = run_repeated_search(
-      paper_hybrid_space(qnn::AnsatzKind::BasicEntangler), dataset, config);
-
-  // Uncompiled under parallel execution must also agree.
+  for (const char* backend : testing::production_backends()) {
+    const testing::BackendScope scope{backend};
+    config.threads = 1;
+    EXPECT_EQ(outcome_digest(run_repeated_search(space, dataset, config)),
+              golden)
+        << backend;
+  }
+  const testing::BackendScope scope{"generic"};
   config.threads = 4;
-  const auto uncompiled_parallel = run_repeated_search(
-      paper_hybrid_space(qnn::AnsatzKind::BasicEntangler), dataset, config);
-  quantum::kernels::set_force_uncompiled(std::nullopt);
-
-  expect_identical(compiled, uncompiled);
-  expect_identical(compiled, uncompiled_parallel);
+  EXPECT_EQ(outcome_digest(run_repeated_search(space, dataset, config)),
+            golden)
+      << "generic, 4 threads";
 }
 
 TEST(GridSearchDeterminism, EvaluateCandidateRejectsZeroRuns) {

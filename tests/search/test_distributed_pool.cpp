@@ -251,12 +251,17 @@ TEST(DistributedPoolFallback, SlowHandshakeIsRejectedThenFallsBackLocal) {
   util::Subprocess daemon = spawn_daemon(pool.listen_port(), 1);
 
   const std::string bytes = sweep_bytes(config, &pool);
+  // Read the stats and stop the daemon while the fault is still armed: the
+  // listener stays open after the sweep, so once conn=slow is disarmed the
+  // daemon's next reconnect would register legitimately.
+  EXPECT_TRUE(eventually(
+      [&] { return pool.stats().handshake_rejects >= 1; }, 5000));
+  const WorkerPoolStats armed = pool.stats();
+  daemon.kill_hard();
   util::FaultInjector::instance().configure("");
   EXPECT_EQ(bytes, baseline);
   EXPECT_FALSE(pool.degraded()) << pool.degraded_reason();
-  EXPECT_EQ(pool.stats().remote_registered, 0u);
-  EXPECT_TRUE(eventually(
-      [&] { return pool.stats().handshake_rejects >= 1; }, 5000));
+  EXPECT_EQ(armed.remote_registered, 0u);
 }
 
 // --- injected connection faults ------------------------------------------

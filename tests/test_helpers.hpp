@@ -1,18 +1,99 @@
 // Shared test utilities: finite-difference gradient checking for nn modules
-// and quantum circuits, plus random-circuit generation for property tests.
+// and quantum circuits, random-circuit generation for property tests, and
+// FNV-1a digests for golden bit-identity tables.
 #pragma once
 
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/loss.hpp"
 #include "nn/module.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/observable.hpp"
+#include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
 namespace qhdl::testing {
+
+/// Incremental 64-bit FNV-1a over the raw bytes of computed results. A
+/// committed table of these digests pins every bit of a golden output
+/// without committing the values themselves; compare with hex() so a
+/// mismatch prints the actual digest.
+class Digest {
+ public:
+  Digest& bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+    return *this;
+  }
+  Digest& doubles(std::span<const double> values) {
+    return bytes(values.data(), values.size_bytes());
+  }
+  Digest& complexes(std::span<const std::complex<double>> values) {
+    return bytes(values.data(), values.size_bytes());
+  }
+  Digest& value(double v) { return bytes(&v, sizeof v); }
+  Digest& value(std::uint64_t v) { return bytes(&v, sizeof v); }
+  Digest& text(std::string_view s) {
+    value(static_cast<std::uint64_t>(s.size()));
+    return bytes(s.data(), s.size());
+  }
+
+  std::string hex() const {
+    char buffer[17];
+    std::snprintf(buffer, sizeof buffer, "%016llx",
+                  static_cast<unsigned long long>(hash_));
+    return buffer;
+  }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Pins one kernel backend for the scope and restores the previous runtime
+/// override (or env/build/auto selection) on exit, so scopes nest.
+class BackendScope {
+ public:
+  explicit BackendScope(const char* name) {
+    if (std::string_view{util::simd::active_source()} == "override") {
+      previous_ = util::simd::active_backend().name;
+    }
+    util::simd::set_backend(name);
+  }
+  ~BackendScope() {
+    util::simd::set_backend(
+        previous_ == nullptr ? std::nullopt
+                             : std::optional<std::string_view>{previous_});
+  }
+  BackendScope(const BackendScope&) = delete;
+  BackendScope& operator=(const BackendScope&) = delete;
+
+ private:
+  const char* previous_ = nullptr;
+};
+
+/// Supported non-reference backends: the ones that execute compiled plans
+/// and are bound by the bit-identity contract.
+inline std::vector<const char*> production_backends() {
+  std::vector<const char*> names;
+  for (const util::simd::Backend* backend : util::simd::backends()) {
+    if (!backend->reference && backend->supported()) {
+      names.push_back(backend->name);
+    }
+  }
+  return names;
+}
 
 /// Central finite difference of a scalar function at x.
 inline double central_difference(const std::function<double(double)>& f,

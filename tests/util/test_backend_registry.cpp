@@ -1,7 +1,7 @@
 // Backend registry selection tests (DESIGN.md §13): precedence layers
-// (runtime override > QHDL_BACKEND env > deprecated alias flags > build
-// default > CPUID auto-detect), unknown/unsupported-backend errors, and the
-// deprecated QHDL_FORCE_* alias mapping onto the reference backend.
+// (runtime override > QHDL_BACKEND env > build default > CPUID
+// auto-detect), unknown/unsupported-backend errors, and the reference
+// backend switching on the oracle paths.
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
@@ -40,50 +40,31 @@ class EnvScope {
   std::optional<std::string> saved_;
 };
 
-TEST(BackendRegistry, ResolutionPrecedenceIsOverrideEnvAliasBuildAuto) {
+TEST(BackendRegistry, ResolutionPrecedenceIsOverrideEnvBuildAuto) {
   const char* source = nullptr;
 
   // Runtime override beats every other layer.
-  EXPECT_EQ(simd::resolve_backend_name("avx2", "generic", "1", "1", "generic",
-                                       &source),
+  EXPECT_EQ(simd::resolve_backend_name("avx2", "generic", "generic", &source),
             "avx2");
   EXPECT_STREQ(source, "override");
 
-  // Env var beats the aliases and the build default.
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, "generic", "1", "1", "avx2",
-                                       &source),
+  // Env var beats the build default.
+  EXPECT_EQ(simd::resolve_backend_name(nullptr, "generic", "avx2", &source),
             "generic");
   EXPECT_STREQ(source, "env");
 
-  // Either deprecated alias flag maps to the reference backend and beats
-  // the build default; "0" and empty mean unset, matching the old flags.
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "1", nullptr, "avx2",
-                                       &source),
-            "reference");
-  EXPECT_STREQ(source, "alias");
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, nullptr, "1", "avx2",
-                                       &source),
-            "reference");
-  EXPECT_STREQ(source, "alias");
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "0", "", "avx2",
-                                       &source),
-            "avx2");
-  EXPECT_STREQ(source, "build");
-
   // Build default applies when nothing stronger is set; empty everywhere
   // means CPUID auto-detection.
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, nullptr, nullptr,
-                                       "generic", &source),
+  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "generic", &source),
             "generic");
   EXPECT_STREQ(source, "build");
-  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, nullptr, nullptr, "",
-                                       &source),
-            "");
+  EXPECT_EQ(simd::resolve_backend_name(nullptr, nullptr, "", &source), "");
   EXPECT_STREQ(source, "auto");
 
   // Empty strings are "not set", same as null.
-  EXPECT_EQ(
-      simd::resolve_backend_name("", "", nullptr, nullptr, "", &source), "");
+  EXPECT_EQ(simd::resolve_backend_name("", "", "avx2", &source), "avx2");
+  EXPECT_STREQ(source, "build");
+  EXPECT_EQ(simd::resolve_backend_name("", "", "", &source), "");
   EXPECT_STREQ(source, "auto");
 }
 
@@ -182,33 +163,15 @@ TEST(BackendRegistry, UnknownEnvBackendThrowsOnResolution) {
   }
 }
 
-TEST(BackendRegistry, DeprecatedAliasesSelectReferenceBackend) {
-  if (std::getenv("QHDL_FORCE_GENERIC_KERNELS") != nullptr ||
-      std::getenv("QHDL_FORCE_REFERENCE_NN") != nullptr) {
-    GTEST_SKIP() << "legacy force flags already set in this environment";
-  }
-  const EnvScope backend_guard{"QHDL_BACKEND"};
-  const EnvScope generic_guard{"QHDL_FORCE_GENERIC_KERNELS"};
-  ::unsetenv("QHDL_BACKEND");
-  ::setenv("QHDL_FORCE_GENERIC_KERNELS", "1", 1);
-  simd::set_backend(std::nullopt);
-  EXPECT_STREQ(simd::active_backend().name, "reference");
-  EXPECT_STREQ(simd::active_source(), "alias");
-}
-
 TEST(BackendRegistry, ReferenceBackendForcesLegacyReferencePaths) {
+  // The oracle paths follow the backend and nothing else.
   simd::set_backend("reference");
   EXPECT_TRUE(quantum::kernels::force_generic());
-  EXPECT_TRUE(quantum::kernels::force_uncompiled());
   EXPECT_TRUE(nn::fastpath::force_reference());
 
   simd::set_backend("generic");
-  if (std::getenv("QHDL_FORCE_GENERIC_KERNELS") == nullptr) {
-    EXPECT_FALSE(quantum::kernels::force_generic());
-  }
-  if (std::getenv("QHDL_FORCE_REFERENCE_NN") == nullptr) {
-    EXPECT_FALSE(nn::fastpath::force_reference());
-  }
+  EXPECT_FALSE(quantum::kernels::force_generic());
+  EXPECT_FALSE(nn::fastpath::force_reference());
   simd::set_backend(std::nullopt);
 }
 
