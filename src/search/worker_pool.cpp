@@ -24,6 +24,7 @@
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
 #include "util/thread_pool.hpp"
+#include "util/wake_pipe.hpp"
 
 namespace qhdl::search {
 
@@ -97,6 +98,8 @@ struct WorkerPool::Impl {
   WorkerPoolStats stat;
 
   std::atomic<bool> stop{false};
+  /// Ends the dispatcher's poll() when units are queued or stop is set.
+  util::WakePipe wake;
   std::thread dispatcher;
   UnitDataCache cache;  ///< degraded-mode dataset/split derivation
 
@@ -766,7 +769,7 @@ struct WorkerPool::Impl {
 
 #if defined(__unix__) || defined(__APPLE__)
   void wait_for_io() {
-    std::vector<pollfd> fds;
+    std::vector<pollfd> fds{pollfd{wake.read_fd(), POLLIN, 0}};
     {
       std::lock_guard<std::mutex> lock(mutex);
       for (const Slot& slot : slots) {
@@ -782,11 +785,10 @@ struct WorkerPool::Impl {
         fds.push_back(pollfd{listener.fd(), POLLIN, 0});
       }
     }
-    if (fds.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return;
-    }
+    // The timeout is only the tick for heartbeat, deadline, respawn-gate
+    // and steal checks; state changes arrive as fd events.
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+    wake.drain();
   }
 #else
   void wait_for_io() {
@@ -950,6 +952,7 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
 WorkerPool::~WorkerPool() {
   if (impl_ == nullptr) return;
   impl_->stop.store(true, std::memory_order_relaxed);
+  impl_->wake.notify();
   if (impl_->dispatcher.joinable()) impl_->dispatcher.join();
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -1000,7 +1003,11 @@ std::vector<CandidateResult> WorkerPool::evaluate(
     }
   }
   // A pool that never came up has no dispatcher; evaluate on the caller.
-  if (inline_now) impl_->run_inline(pending);
+  if (inline_now) {
+    impl_->run_inline(pending);
+  } else {
+    impl_->wake.notify();
+  }
 
   std::vector<CandidateResult> results;
   results.reserve(futures.size());

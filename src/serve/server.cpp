@@ -25,6 +25,7 @@
 #include "util/logging.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "util/wake_pipe.hpp"
 
 namespace qhdl::serve {
 
@@ -72,6 +73,9 @@ struct Job {
   util::CancelToken cancel;
   std::promise<util::Json> promise;
   std::shared_future<util::Json> reply;
+  /// Notified after the reply is set and after every queued progress
+  /// frame, so the waiting connection thread wakes on exactly those events.
+  util::WakePipe wake;
 
   /// Streaming progress (study requests with "progress": true): the
   /// executor enqueues frames here and the connection thread drains them
@@ -253,7 +257,15 @@ struct Server::Impl {
       reply_and_close(socket, make_rejected("draining"));
       return;
     }
-    auto job = std::make_shared<Job>();
+    std::shared_ptr<Job> job;
+    try {
+      job = std::make_shared<Job>();
+    } catch (const std::exception& e) {
+      // Out of file descriptors for the wake pipe: fail this request only.
+      util::log_warn(std::string{"serve: cannot admit job: "} + e.what());
+      reply_and_close(socket, make_error(e.what()));
+      return;
+    }
     job->request = std::move(request);
     job->wants_progress = type == "study" &&
                           job->request.contains("progress") &&
@@ -301,15 +313,17 @@ struct Server::Impl {
   /// first. Streams queued progress frames to the client while waiting.
   bool wait_with_disconnect_watch(util::Socket& socket, Job& job) {
 #if defined(__unix__) || defined(__APPLE__)
+    pollfd fds[2] = {pollfd{socket.fd(), POLLIN, 0},
+                     pollfd{job.wake.read_fd(), POLLIN, 0}};
     while (job.reply.wait_for(std::chrono::milliseconds(0)) !=
            std::future_status::ready) {
       if (!flush_progress(socket, job)) return false;
-      pollfd pfd{};
-      pfd.fd = socket.fd();
-      pfd.events = POLLIN;
-      const int ready = ::poll(&pfd, 1, 50);
+      // No timeout: the reply and progress frames arrive through the job's
+      // wake pipe, client bytes and EOF through the socket.
+      const int ready = ::poll(fds, 2, -1);
       if (ready < 0 && errno != EINTR) return false;
-      if (ready > 0) {
+      job.wake.drain();
+      if (ready > 0 && fds[0].revents != 0) {
         char scratch[256];
         const ssize_t n = ::read(socket.fd(), scratch, sizeof(scratch));
         if (n == 0) return false;  // clean EOF: client gone
@@ -350,6 +364,7 @@ struct Server::Impl {
       if (draining.load(std::memory_order_acquire)) {
         bump([](ServerStats& s) { ++s.rejected_draining; });
         job->promise.set_value(make_rejected("draining"));
+        job->wake.notify();
         continue;
       }
       if (cfg.job_timeout_ms > 0) {
@@ -357,6 +372,7 @@ struct Server::Impl {
             util::Deadline::after_ms(cfg.job_timeout_ms));
       }
       job->promise.set_value(run_job(*job));
+      job->wake.notify();
     }
   }
 
@@ -427,11 +443,14 @@ struct Server::Impl {
         frame["last_spec"] = event.last_spec;
         frame["last_val_accuracy"] = event.last_val_accuracy;
         frame["winner_found"] = event.winner_found;
-        std::lock_guard<std::mutex> lock(job_ptr->progress_mutex);
-        if (job_ptr->progress_frames.size() >= kMaxQueuedProgressFrames) {
-          job_ptr->progress_frames.pop_front();
+        {
+          std::lock_guard<std::mutex> lock(job_ptr->progress_mutex);
+          if (job_ptr->progress_frames.size() >= kMaxQueuedProgressFrames) {
+            job_ptr->progress_frames.pop_front();
+          }
+          job_ptr->progress_frames.push_back(std::move(frame));
         }
-        job_ptr->progress_frames.push_back(std::move(frame));
+        job_ptr->wake.notify();
       };
     }
 

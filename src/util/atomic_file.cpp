@@ -101,7 +101,7 @@ void atomic_write_file(const std::string& path, std::string_view content) {
   std::string dir = std::filesystem::path(path).parent_path().string();
   if (dir.empty()) dir = ".";
   errno = 0;
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
   if (dir_fd < 0) fail("open-dir", path, "");
   if (::fsync(dir_fd) != 0) {
     const int saved_errno = errno;

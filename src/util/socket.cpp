@@ -118,7 +118,7 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
                              target + ")");
   }
   const sockaddr_in addr = make_addr(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw std::runtime_error(std::string{"connect_tcp: socket failed: "} +
                              std::strerror(errno));
@@ -214,7 +214,7 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
 ListenSocket ListenSocket::listen_tcp(const std::string& host,
                                       std::uint16_t port, int backlog) {
   const sockaddr_in addr = make_addr(host, port);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw std::runtime_error(std::string{"listen_tcp: socket failed: "} +
                              std::strerror(errno));
@@ -266,7 +266,7 @@ std::optional<Socket> ListenSocket::accept(const Deadline& deadline,
       return std::nullopt;
     }
     if (ready == 0) continue;  // slice elapsed; re-check deadline and fd
-    const int conn = ::accept(fd_, nullptr, nullptr);
+    const int conn = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (conn < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       log_warn(std::string{"ListenSocket::accept: accept failed: "} +

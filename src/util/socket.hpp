@@ -6,6 +6,8 @@
 // stream socket with an EPIPE-safe bulk writer. Reads go through
 // search::read_frame (worker_protocol.hpp), which polls with a
 // util::Deadline so a hung peer cannot wedge the server.
+// Every descriptor is created close-on-exec, so worker processes spawned
+// while a server runs never inherit its listener or client connections.
 //
 // Fault injection: accept() observes the `accept` site (an `accept=fail`
 // trigger closes the freshly accepted connection, emulating a transient

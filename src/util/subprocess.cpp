@@ -103,24 +103,28 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   }
   install_sigpipe_guard();
 
-  // [0] = read end, [1] = write end.
+  // [0] = read end, [1] = write end. Every end is close-on-exec from the
+  // moment it exists: another thread's concurrent spawn must not leak these
+  // into its child (an inherited status_pipe[1] would block our read below
+  // until that unrelated child exits). The child's dup2 onto stdin/stdout
+  // yields descriptors without the flag, which are the only ones it keeps.
   int to_child[2] = {-1, -1};
   int from_child[2] = {-1, -1};
-  int status_pipe[2] = {-1, -1};  // CLOEXEC: closes on successful exec
-  if (::pipe(to_child) != 0) spawn_fail("pipe", errno);
-  if (::pipe(from_child) != 0) {
+  int status_pipe[2] = {-1, -1};  // closes on successful exec
+  if (::pipe2(to_child, O_CLOEXEC) != 0) spawn_fail("pipe", errno);
+  if (::pipe2(from_child, O_CLOEXEC) != 0) {
+    const int saved = errno;
     ::close(to_child[0]);
     ::close(to_child[1]);
-    spawn_fail("pipe", errno);
+    spawn_fail("pipe", saved);
   }
-  if (::pipe(status_pipe) != 0) {
+  if (::pipe2(status_pipe, O_CLOEXEC) != 0) {
     const int saved = errno;
     for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
       ::close(fd);
     }
     spawn_fail("pipe", saved);
   }
-  ::fcntl(status_pipe[1], F_SETFD, FD_CLOEXEC);
 
   // Pre-build exec arguments: no allocation is allowed after fork().
   std::vector<std::string> env = merged_environment(extra_env);
@@ -149,13 +153,10 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
 
   if (pid == 0) {
     // Child: wire pipes to stdin/stdout, restore default SIGPIPE, exec.
+    // exec closes every other pipe end.
     ::signal(SIGPIPE, SIG_DFL);
     ::dup2(to_child[0], STDIN_FILENO);
     ::dup2(from_child[1], STDOUT_FILENO);
-    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1],
-                   status_pipe[0]}) {
-      ::close(fd);
-    }
     ::execve(argv_ptrs[0], argv_ptrs.data(), env_ptrs.data());
     // exec failed: report errno through the CLOEXEC pipe and vanish.
     const int exec_errno = errno;

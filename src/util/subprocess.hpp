@@ -50,7 +50,9 @@ class Subprocess {
   /// Spawns argv (argv[0] must be an absolute or cwd-relative path; PATH is
   /// not searched). `extra_env` entries of the form "KEY=value" override or
   /// extend the inherited environment. The child's stdout read fd is set
-  /// non-blocking for poll()-based multiplexing. Throws std::runtime_error
+  /// non-blocking for poll()-based multiplexing. The child inherits only
+  /// its stdin/stdout pipes and the caller's stderr: every descriptor the
+  /// library opens is close-on-exec. Throws std::runtime_error
   /// when the process cannot be created or the binary cannot be executed.
   static Subprocess spawn(const std::vector<std::string>& argv,
                           const std::vector<std::string>& extra_env = {});

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -283,6 +285,38 @@ TEST(WorkerPoolGolden, MultiProcessSweepMatchesInProcessBytes) {
   const WorkerPoolStats stats = pool.stats();
   EXPECT_EQ(stats.retried_units, 0u);
   EXPECT_EQ(stats.quarantined_units, 0u);
+}
+
+// --- dispatcher wakeups -----------------------------------------------------
+
+// Once evaluate() returns, the single worker is ready and idle, so no fd
+// traffic can end the dispatcher's poll(): only the destructor's own wakeup
+// does (DESIGN.md §11). Waiting out the 50 ms timer tick instead would make
+// every destruction take up to 50 ms.
+TEST(WorkerPool, DestructionWakesDispatcher) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  const SweepConfig config = sweep_config();
+  WorkerPoolConfig pool_config;
+  pool_config.workers = 1;
+  for (int round = 0; round < 5; ++round) {
+    auto pool = std::make_unique<WorkerPool>(config, pool_config);
+    ASSERT_FALSE(pool->degraded()) << pool->degraded_reason();
+    WorkUnit unit;
+    unit.key = UnitKey{"classical", 4, 0, 0};
+    unit.spec = ModelSpec::make_classical({4});
+    util::Rng rng{7};
+    for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
+      unit.streams.push_back(rng.split());
+    }
+    ASSERT_EQ(pool->evaluate({unit}).size(), 1u);
+
+    const auto start = std::chrono::steady_clock::now();
+    pool.reset();
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    EXPECT_LT(elapsed_ms, 25.0) << "round " << round;
+  }
 }
 
 // --- supervised failure handling -----------------------------------------

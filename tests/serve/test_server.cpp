@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -101,6 +102,31 @@ TEST_F(ServeServerTest, PingAndStatsAreServedInline) {
     EXPECT_TRUE(stats.contains(key)) << key;
   }
   EXPECT_EQ(static_cast<std::size_t>(stats.at("accepted").as_number()), 2u);
+}
+
+// A reply must reach the client as soon as the executor resolves it, not
+// when the connection thread's next poll slice ends (DESIGN.md §15). A 0 ms
+// sleep costs one 10 ms executor tick; a 50 ms poll slice on the reply path
+// would put every round trip at >= 50 ms.
+TEST_F(ServeServerTest, ReplyIsNotQuantizedToPollSlices) {
+  ServerConfig config;
+  config.executors = 1;
+  Server server{config};
+  server.start();
+  std::vector<double> round_trip_ms;
+  for (int i = 0; i < 10; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    const util::Json reply =
+        round_trip("127.0.0.1", server.port(), sleep_request(0), 5000);
+    round_trip_ms.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    ASSERT_EQ(reply.at("type").as_string(), "result");
+  }
+  std::sort(round_trip_ms.begin(), round_trip_ms.end());
+  const double median = (round_trip_ms[4] + round_trip_ms[5]) / 2.0;
+  EXPECT_LT(median, 35.0) << "fastest " << round_trip_ms.front()
+                          << " ms, slowest " << round_trip_ms.back() << " ms";
 }
 
 TEST_F(ServeServerTest, UnknownRequestTypeIsAnErrorNotADisconnect) {

@@ -7,7 +7,11 @@
 #include <unistd.h>
 #endif
 
+#include <filesystem>
 #include <string>
+
+#include "util/socket.hpp"
+#include "util/wake_pipe.hpp"
 
 namespace qhdl::util {
 namespace {
@@ -74,6 +78,35 @@ TEST(Subprocess, ExtraEnvOverridesInherited) {
   child.close_stdin();
   EXPECT_EQ(read_all(child), "overridden");
   EXPECT_TRUE(child.wait().exited);
+}
+
+// Two pools spawning concurrently (one per serve executor) must not leak
+// each other's pipe ends, the server's sockets or wake pipes into their
+// children: every descriptor the library opens is close-on-exec.
+TEST(Subprocess, ChildInheritsOnlyStdio) {
+  if (!sockets_supported()) GTEST_SKIP() << "no socket support";
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to inspect";
+  }
+  ListenSocket listener = ListenSocket::listen_tcp("127.0.0.1", 0);
+  Socket client = connect_tcp("127.0.0.1", listener.port(), 5000);
+  std::optional<Socket> accepted =
+      listener.accept(Deadline::after_ms(5000));
+  ASSERT_TRUE(accepted.has_value());
+  Subprocess sibling = Subprocess::spawn({"/bin/cat"});
+  WakePipe wake;
+
+  for (const int fd : {listener.fd(), client.fd(), accepted->fd(),
+                       sibling.stdin_fd(), sibling.stdout_fd(),
+                       wake.read_fd()}) {
+    const std::string path = "/proc/self/fd/" + std::to_string(fd);
+    Subprocess probe =
+        Subprocess::spawn({"/bin/sh", "-c", "[ ! -e " + path + " ]"});
+    probe.close_stdin();
+    const ExitStatus status = probe.wait();
+    EXPECT_TRUE(status.exited && status.exit_code == 0)
+        << "child inherited fd " << fd << " (" << status.to_string() << ")";
+  }
 }
 
 TEST(Subprocess, CurrentExecutablePathIsAbsolute) {
