@@ -51,8 +51,8 @@ class Subprocess {
   /// not searched). `extra_env` entries of the form "KEY=value" override or
   /// extend the inherited environment. The child's stdout read fd is set
   /// non-blocking for poll()-based multiplexing. The child inherits only
-  /// its stdin/stdout pipes and the caller's stderr: every descriptor the
-  /// library opens is close-on-exec. Throws std::runtime_error
+  /// its stdin/stdout pipes and the caller's stderr: every pipe and socket
+  /// the library opens is close-on-exec. Throws std::runtime_error
   /// when the process cannot be created or the binary cannot be executed.
   static Subprocess spawn(const std::vector<std::string>& argv,
                           const std::vector<std::string>& extra_env = {});

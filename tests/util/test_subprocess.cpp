@@ -82,7 +82,7 @@ TEST(Subprocess, ExtraEnvOverridesInherited) {
 
 // Two pools spawning concurrently (one per serve executor) must not leak
 // each other's pipe ends, the server's sockets or wake pipes into their
-// children: every descriptor the library opens is close-on-exec.
+// children: every pipe and socket the library opens is close-on-exec.
 TEST(Subprocess, ChildInheritsOnlyStdio) {
   if (!sockets_supported()) GTEST_SKIP() << "no socket support";
   if (!std::filesystem::exists("/proc/self/fd")) {
