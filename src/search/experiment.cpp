@@ -51,7 +51,8 @@ SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
                                  StudyCheckpoint* checkpoint,
                                  WorkerPool* pool,
                                  const util::CancelToken* cancel,
-                                 const ProgressFn* progress) {
+                                 const ProgressFn* progress,
+                                 ReplayTally* tally) {
   if (config.feature_sizes.empty()) {
     throw std::invalid_argument("run_complexity_sweep: no feature sizes");
   }
@@ -81,6 +82,7 @@ SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
         resume.pool = pool;
         resume.cancel = cancel;
         resume.progress = progress;
+        resume.tally = tally;
         level.search =
             run_repeated_search(specs, dataset, config.search, resume);
         result.levels[i] = std::move(level);

@@ -61,11 +61,14 @@ class WorkerPool;
 /// When `progress` is non-null, it fires after every committed unit window
 /// (see ProgressEvent) — from concurrent level threads, so the handler must
 /// be thread-safe. The serve layer uses this for streaming progress frames.
+/// When `tally` is non-null, it counts this call's own checkpoint lookups
+/// (the serve layer's per-request cache hits).
 SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
                                  StudyCheckpoint* checkpoint = nullptr,
                                  WorkerPool* pool = nullptr,
                                  const util::CancelToken* cancel = nullptr,
-                                 const ProgressFn* progress = nullptr);
+                                 const ProgressFn* progress = nullptr,
+                                 ReplayTally* tally = nullptr);
 
 /// Convenience: the standard per-level dataset (shared across families so
 /// the comparison is apples-to-apples).

@@ -277,6 +277,10 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
       for (std::size_t i = 0; i < count; ++i) {
         replayed[i] = resume.checkpoint->find(UnitKey{
             resume.family, resume.features, repetition, next + i});
+        if (resume.tally != nullptr) {
+          (replayed[i].has_value() ? resume.tally->hits
+                                   : resume.tally->misses) += 1;
+        }
       }
     }
 

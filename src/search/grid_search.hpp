@@ -24,6 +24,7 @@
 // the reference path (see DESIGN.md §9).
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <optional>
 
@@ -157,6 +158,15 @@ struct ProgressEvent {
 };
 using ProgressFn = std::function<void(const ProgressEvent&)>;
 
+/// One sweep's own checkpoint lookups: units replayed vs units that had to
+/// run. The checkpoint's replay counters are shared by every sweep on it;
+/// a tally counts one call's lookups only. Levels run concurrently, hence
+/// the atomics.
+struct ReplayTally {
+  std::atomic<std::size_t> hits{0};
+  std::atomic<std::size_t> misses{0};
+};
+
 struct ResumeContext {
   StudyCheckpoint* checkpoint = nullptr;
   std::string family;        ///< family_name() of the sweep ("" standalone)
@@ -165,6 +175,8 @@ struct ResumeContext {
   const util::CancelToken* cancel = nullptr;
   /// Optional progress sink (see ProgressEvent); not owned, may be null.
   const ProgressFn* progress = nullptr;
+  /// Optional per-call count of checkpoint lookups; not owned, may be null.
+  ReplayTally* tally = nullptr;
 };
 
 /// Sorts specs ascending by analytic FLOPs (stable, deterministic).

@@ -7,15 +7,17 @@
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
-#include "search/worker_transport.hpp"
 #include "util/backend_registry.hpp"
 #include "util/deadline.hpp"
 #include "util/fault_injection.hpp"
@@ -27,6 +29,27 @@
 #include "util/wake_pipe.hpp"
 
 namespace qhdl::search {
+
+namespace {
+
+/// "127.0.0.1:43210" for an accepted TCP connection, for logs.
+std::string peer_of(const util::Socket& socket) {
+#if defined(__unix__) || defined(__APPLE__)
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getpeername(socket.fd(), reinterpret_cast<sockaddr*>(&addr), &len) ==
+          0 &&
+      addr.sin_family == AF_INET) {
+    char host[INET_ADDRSTRLEN] = {0};
+    if (::inet_ntop(AF_INET, &addr.sin_addr, host, sizeof(host)) != nullptr) {
+      return std::string{host} + ":" + std::to_string(ntohs(addr.sin_port));
+    }
+  }
+#endif
+  return "remote worker";
+}
+
+}  // namespace
 
 struct WorkerPool::Impl {
   /// A transport loss may re-dispatch a unit without charging a retry
@@ -48,13 +71,22 @@ struct WorkerPool::Impl {
     bool resolved = false;
   };
 
-  /// One worker slot — a pipe child (respawned in place on failure) or a
-  /// registered remote connection (erased on loss; the daemon's reconnect
-  /// shows up as a fresh registration). Slots are touched only by the
+  /// One worker slot: a stream socket to a worker process — the pool's own
+  /// child over a socketpair, or an accepted daemon connection. Every slot
+  /// enters through the same handshake (the worker's `register` frame,
+  /// answered with `init`) and is schedulable only once registered.
+  /// Ownership is the one fact that differs: an owned child is respawned in
+  /// place, an accepted connection is erased when lost (the daemon's
+  /// reconnect shows up as a fresh slot). Slots are touched only by the
   /// constructor and the dispatcher thread.
   struct Slot {
-    std::unique_ptr<WorkerTransport> transport;
-    bool remote = false;
+    util::Socket socket;  ///< invalid once the worker is gone
+    /// Engaged only for children this pool spawns (and kept engaged while
+    /// the slot waits to respawn one).
+    std::optional<util::Subprocess> process;
+    bool registered = false;
+    util::Deadline handshake_deadline;  ///< register frame due by then
+    std::string name;  ///< "pid 12345" or "127.0.0.1:43210", for logs
     bool partitioned = false;  ///< injected partition: reads blackholed
     std::size_t index = 0;     ///< stable salt for jittered backoff draws
     FrameReader reader;
@@ -64,13 +96,11 @@ struct WorkerPool::Impl {
     std::uint64_t last_heard_ms = 0;
     std::size_t consecutive_failures = 0;
     util::Deadline respawn_gate = util::Deadline::after_ms(0);
-  };
 
-  /// An accepted connection that has not sent its register frame yet.
-  struct PendingConn {
-    util::Socket socket;
-    FrameReader reader;
-    util::Deadline deadline;
+    bool owned() const { return process.has_value(); }
+    bool schedulable() const {
+      return socket.valid() && ready && !partitioned && current == nullptr;
+    }
   };
 
   SweepConfig worker_config;  ///< sweep config as shipped (worker threads)
@@ -83,10 +113,9 @@ struct WorkerPool::Impl {
   mutable std::mutex mutex;
   std::deque<std::shared_ptr<PendingUnit>> queue;
   std::vector<Slot> slots;
-  std::vector<PendingConn> pending_conns;
   util::ListenSocket listener;
   bool remote_mode = false;    ///< listening for remote registrations
-  bool local_spawned = false;  ///< local pipe slots exist (or were tried)
+  bool local_spawned = false;  ///< owned slots exist (or were tried)
   util::Deadline remote_gate;  ///< first-registration deadline
   std::optional<util::Deadline> lost_fleet_gate;  ///< all-remote-lost timer
   std::size_t next_slot_index = 0;
@@ -183,77 +212,126 @@ struct WorkerPool::Impl {
 
   // --- worker lifecycle (mutex held) ---------------------------------------
 
-  std::uint64_t backoff_ms(const Slot& slot) const {
-    return backoff_with_jitter_ms(cfg.backoff_initial_ms, cfg.backoff_max_ms,
-                                  slot.consecutive_failures,
-                                  cfg.backoff_jitter_seed, slot.index);
+  /// Books one more consecutive failure of the slot and gates its respawn
+  /// behind the jittered backoff. Returns the wait in ms.
+  std::uint64_t arm_backoff(Slot& slot) {
+    slot.consecutive_failures += 1;
+    const std::uint64_t wait = backoff_with_jitter_ms(
+        cfg.backoff_initial_ms, cfg.backoff_max_ms, slot.consecutive_failures,
+        cfg.backoff_jitter_seed, slot.index);
+    slot.respawn_gate = util::Deadline::after_ms(wait);
+    return wait;
   }
 
-  /// Spawns a pipe worker into `slot` and sends the init frame. Returns
-  /// false (with the slot left empty and its backoff gate armed) on failure.
+  /// Every worker socket enters here: non-blocking for the dispatcher's
+  /// poll loop, a fresh session, and one handshake deadline to register.
+  void open_slot(Slot& slot, util::Socket socket, std::string name) {
+    socket.set_nonblocking();
+    slot.socket = std::move(socket);
+    slot.name = std::move(name);
+    slot.registered = false;
+    slot.ready = false;
+    slot.partitioned = false;
+    slot.reader = FrameReader{};
+    slot.handshake_deadline =
+        util::Deadline::after_ms(cfg.handshake_timeout_ms);
+    slot.last_heard_ms = util::monotonic_now_ms();
+  }
+
+  /// Spawns the child of an owned slot. Returns false (with the slot left
+  /// dead and its backoff gate armed) on failure.
   bool spawn_slot(Slot& slot) {
     try {
-      util::Subprocess process =
-          util::Subprocess::spawn(command, cfg.worker_env);
-      if (!process.write_all(init_wire.data(), init_wire.size())) {
-        throw std::runtime_error("worker died before the init frame");
-      }
-      slot.transport = make_pipe_transport(std::move(process));
+      *slot.process = util::Subprocess::spawn(command, cfg.worker_env);
     } catch (const std::exception& error) {
-      slot.transport.reset();
-      slot.consecutive_failures += 1;
-      const std::uint64_t wait = backoff_ms(slot);
-      slot.respawn_gate = util::Deadline::after_ms(wait);
+      const std::uint64_t wait = arm_backoff(slot);
       spawn_failure_streak += 1;
       util::log_warn(std::string{"worker pool: spawn failed: "} +
                      error.what() + " (backoff " + std::to_string(wait) +
                      " ms)");
       return false;
     }
-    slot.reader = FrameReader{};
-    slot.ready = false;
-    slot.partitioned = false;
-    slot.current.reset();
-    slot.last_heard_ms = util::monotonic_now_ms();
+    open_slot(slot, std::move(slot.process->socket()),
+              "pid " + std::to_string(slot.process->pid()));
     spawn_failure_streak = 0;
     return true;
   }
 
-  /// Tears down a slot whose worker is done for. `charge_attempt` separates
-  /// unit failures (deadline, worker error — the unit burns a retry) from
-  /// transport losses (remote EOF/reset/partition — the unit is orphaned
-  /// and re-dispatched for free).
-  void retire_slot(Slot& slot, std::string cause, bool kill,
-                   bool charge_attempt = true) {
-    if (slot.transport != nullptr) {
-      const std::string ending = slot.transport->finish(kill);
-      if (cause.empty()) cause = ending;
-      if (slot.remote) stat.remote_lost += 1;
-      slot.transport.reset();
+  /// Adds cfg.workers owned slots and spawns their children. Returns how
+  /// many came up; the dispatcher keeps retrying the rest with backoff.
+  std::size_t spawn_local_locked() {
+    local_spawned = true;
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < cfg.workers; ++i) {
+      Slot& slot = slots.emplace_back();
+      slot.process.emplace();
+      slot.index = next_slot_index++;
+      if (spawn_slot(slot)) live += 1;
     }
-    slot.ready = false;
-    slot.partitioned = false;
-    if (slot.current != nullptr) {
-      std::shared_ptr<PendingUnit> unit = std::move(slot.current);
-      slot.current.reset();
-      if (unit->replicas > 0) unit->replicas -= 1;
-      if (!unit->resolved) {
-        if (charge_attempt) {
-          fail_attempt(unit, cause);
-        } else {
-          orphan_requeue(unit, cause);
-        }
-      }
-    }
-    slot.consecutive_failures += 1;
-    slot.respawn_gate = util::Deadline::after_ms(backoff_ms(slot));
+    return live;
   }
 
-  bool any_live_worker() const {
-    for (const Slot& slot : slots) {
-      if (slot.transport != nullptr) return true;
+  /// Releases the slot's in-flight unit. Returns it unless it is already
+  /// resolved (a straggler twin won, or it was never there).
+  std::shared_ptr<PendingUnit> detach_unit(Slot& slot) {
+    std::shared_ptr<PendingUnit> unit = std::move(slot.current);
+    if (unit == nullptr) return nullptr;
+    if (unit->replicas > 0) unit->replicas -= 1;
+    return unit->resolved ? nullptr : unit;
+  }
+
+  /// Tears down a slot whose worker is done for. Ownership decides what the
+  /// in-flight unit pays: an owned child's death charges a retry attempt
+  /// (the process running the computation died), while a lost connection
+  /// says nothing about the unit, which is re-dispatched uncharged.
+  void retire_slot(Slot& slot, std::string cause, bool kill) {
+    if (slot.socket.valid()) {
+      slot.socket.close();
+      std::string ending;
+      if (slot.owned()) {
+        if (kill) slot.process->kill_hard();
+        ending = "worker " + slot.process->wait().to_string();
+      } else {
+        ending = "connection to " + slot.name + " closed";
+        (slot.registered ? stat.remote_lost : stat.handshake_rejects) += 1;
+      }
+      if (cause.empty()) cause = ending;
+      if (!slot.registered) {
+        util::log_warn("worker pool: dropping unregistered worker " +
+                       slot.name + " (" + cause + ")");
+      }
     }
-    return false;
+    if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+      if (slot.owned()) {
+        fail_attempt(unit, cause);
+      } else {
+        orphan_requeue(unit, cause);
+      }
+    }
+    arm_backoff(slot);
+  }
+
+  /// Retires a slot whose unit is itself implicated — a deadline overrun or
+  /// corrupt output — so the unit is charged an attempt on any worker.
+  void fail_slot(Slot& slot, const std::string& cause) {
+    if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+      fail_attempt(unit, cause);
+    }
+    retire_slot(slot, cause, /*kill=*/true);
+  }
+
+  /// Asks every worker to end its session: a `shutdown` frame (a worker
+  /// finishes its in-flight unit first, and a non-persistent daemon exits
+  /// instead of reconnecting), then a half-close. Returns the live count.
+  std::size_t stop_workers_locked() {
+    std::size_t live = 0;
+    for (Slot& slot : slots) {
+      if (!slot.socket.valid()) continue;
+      (void)slot.socket.write_all(shutdown_wire);
+      slot.socket.shutdown_write();
+      ++live;
+    }
+    return live;
   }
 
   void enter_degraded(const std::string& reason) {
@@ -265,24 +343,16 @@ struct WorkerPool::Impl {
 
   // --- dispatcher phases ----------------------------------------------------
 
-  /// Forwards the interrupt to live workers once (SIGTERM to pipe children,
-  /// a shutdown frame to remote daemons) and fails every pending unit with
-  /// util::Interrupted, so evaluate() unwinds to the search loop's own
-  /// interrupt poll (the checkpoint holds only committed units, hence a
+  /// Forwards the interrupt to live workers once and fails every pending
+  /// unit with util::Interrupted, so evaluate() unwinds to the search loop's
+  /// own interrupt poll (the checkpoint holds only committed units, hence a
   /// resume retrains this window identically).
   void handle_interrupt_locked() {
     if (!util::interrupt_requested()) return;
     if (!interrupt_forwarded) {
       interrupt_forwarded = true;
-      std::size_t live = 0;
-      for (Slot& slot : slots) {
-        if (slot.transport != nullptr) {
-          slot.transport->interrupt(shutdown_wire);
-          ++live;
-        }
-      }
       util::log_warn("worker pool: interrupt — forwarded stop to " +
-                     std::to_string(live) + " worker(s)");
+                     std::to_string(stop_workers_locked()) + " worker(s)");
     }
     const auto interrupted = std::make_exception_ptr(util::Interrupted{});
     for (const std::shared_ptr<PendingUnit>& unit : queue) {
@@ -298,8 +368,8 @@ struct WorkerPool::Impl {
   }
 
 #if defined(__unix__) || defined(__APPLE__)
-  /// Drains the listener backlog (bounded per tick) into pending_conns,
-  /// where each connection gets one handshake deadline to register.
+  /// Drains the listener backlog (bounded per tick) into unregistered
+  /// slots.
   void accept_remote_locked() {
     if (!listener.valid()) return;
     for (int i = 0; i < 4; ++i) {
@@ -308,110 +378,39 @@ struct WorkerPool::Impl {
       std::optional<util::Socket> conn =
           listener.accept(util::Deadline::after_ms(1));
       if (!conn.has_value()) return;
-      const int flags = ::fcntl(conn->fd(), F_GETFL, 0);
-      if (flags >= 0) ::fcntl(conn->fd(), F_SETFL, flags | O_NONBLOCK);
-      PendingConn pending;
-      pending.socket = std::move(*conn);
-      pending.deadline = util::Deadline::after_ms(cfg.handshake_timeout_ms);
-      pending_conns.push_back(std::move(pending));
-    }
-  }
-
-  /// Reads pending connections until each yields a register frame (promoted
-  /// to a slot), dies, misbehaves, or times out. Observes the `conn` fault
-  /// site at the handshake: reset drops the connection, partition/slow
-  /// withhold reads so the handshake deadline does the dropping.
-  void read_pending_conns_locked() {
-    char buffer[4096];
-    for (std::size_t i = 0; i < pending_conns.size();) {
-      PendingConn& conn = pending_conns[i];
-      std::string drop_reason;
-      bool stalled = false;
-      switch (util::FaultInjector::instance().on_connection("handshake")) {
-        case util::ConnFaultMode::Reset:
-          drop_reason = "injected reset during handshake";
-          break;
-        case util::ConnFaultMode::Partition:
-        case util::ConnFaultMode::Slow:
-          stalled = true;
-          break;
-        default:
-          break;
-      }
-      if (drop_reason.empty() && !stalled) {
-        while (true) {
-          const ssize_t n = ::read(conn.socket.fd(), buffer, sizeof(buffer));
-          if (n > 0) {
-            conn.reader.feed(buffer, static_cast<std::size_t>(n));
-            continue;
-          }
-          if (n == 0) {
-            drop_reason = "peer closed before registering";
-          } else {
-            if (errno == EINTR) continue;
-            if (errno != EAGAIN && errno != EWOULDBLOCK) {
-              drop_reason = "read failed during handshake";
-            }
-          }
-          break;
-        }
-      }
-      if (drop_reason.empty()) {
-        try {
-          std::optional<std::string> payload = conn.reader.next();
-          if (payload.has_value()) {
-            if (try_register_locked(conn, *payload)) {
-              pending_conns.erase(pending_conns.begin() +
-                                  static_cast<std::ptrdiff_t>(i));
-              continue;
-            }
-            drop_reason = "registration rejected";
-          }
-        } catch (const std::exception& error) {
-          drop_reason = std::string{"bad handshake: "} + error.what();
-        }
-      }
-      if (drop_reason.empty() && conn.deadline.expired()) {
-        drop_reason = "no register frame within " +
-                      std::to_string(cfg.handshake_timeout_ms) + " ms";
-      }
-      if (!drop_reason.empty()) {
-        stat.handshake_rejects += 1;
-        util::log_warn("worker pool: dropping worker connection (" +
-                       drop_reason + ")");
-        pending_conns.erase(pending_conns.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      ++i;
+      std::string peer = peer_of(*conn);
+      Slot& slot = slots.emplace_back();
+      slot.index = next_slot_index++;
+      open_slot(slot, std::move(*conn), std::move(peer));
     }
   }
 #else
   void accept_remote_locked() {}
-  void read_pending_conns_locked() {}
 #endif
 
-  /// Validates a register frame and promotes the connection to a live slot
-  /// (init frame sent). Returns false when the worker must be dropped.
-  bool try_register_locked(PendingConn& conn, const std::string& payload) {
-    util::Json frame = util::Json::parse(payload);
-    const WorkerRegistration reg = registration_from_json(frame);
+  /// Validates a slot's first frame, which must be `register`, and answers
+  /// with init. Returns why the worker must be dropped ("" on success).
+  std::string register_locked(Slot& slot, const util::Json& frame) {
+    WorkerRegistration reg;
+    try {
+      reg = registration_from_json(frame);
+    } catch (const ProtocolError& error) {
+      return error.what();
+    }
     if (reg.version != kWorkerProtocolVersion) {
       util::Json reply = util::Json::object();
       reply["type"] = "error";
       reply["message"] = "protocol version mismatch: supervisor speaks " +
                          std::to_string(kWorkerProtocolVersion) +
                          ", worker speaks " + std::to_string(reg.version);
-      (void)conn.socket.write_all(frame_wire(reply.dump()));
-      util::log_warn("worker pool: rejecting worker with protocol version " +
-                     std::to_string(reg.version));
-      return false;
+      (void)slot.socket.write_all(frame_wire(reply.dump()));
+      return "protocol version " + std::to_string(reg.version);
     }
     if (reg.backend != local_backend) {
       // Production SIMD backends are bit-identical by contract (DESIGN.md
       // §14); the reference backend is only ~1e-12 close, so a mixed fleet
       // involving it can lose byte-identity with a local run.
-      const std::string note = "worker pool: remote backend '" + reg.backend +
+      const std::string note = "worker pool: worker backend '" + reg.backend +
                                "' differs from supervisor backend '" +
                                local_backend + "'";
       if (reg.backend == "reference" || local_backend == "reference") {
@@ -422,36 +421,27 @@ struct WorkerPool::Impl {
         util::log_info(note + " (production backends are bit-identical)");
       }
     }
-    Slot slot;
-    slot.remote = true;
-    slot.index = next_slot_index++;
-    slot.reader = std::move(conn.reader);
-    slot.transport = make_tcp_transport(std::move(conn.socket));
-    slot.respawn_gate = util::Deadline::never();
-    slot.last_heard_ms = util::monotonic_now_ms();
-    const std::string who = slot.transport->describe();
-    if (!slot.transport->write_wire(init_wire)) {
-      util::log_warn("worker pool: worker " + who +
-                     " vanished before the init frame");
-      return false;
+    if (!slot.socket.write_all(init_wire)) {
+      return "vanished before the init frame";
     }
-    stat.remote_registered += 1;
-    util::log_info("worker pool: registered remote worker " + who +
-                   " (pid " + std::to_string(reg.pid) + ", slot " +
-                   std::to_string(reg.slot + 1) + "/" +
-                   std::to_string(reg.slots) + ", backend " + reg.backend +
-                   ")");
-    slots.push_back(std::move(slot));
-    return true;
+    slot.registered = true;
+    if (!slot.owned()) {
+      stat.remote_registered += 1;
+      util::log_info("worker pool: registered remote worker " + slot.name +
+                     " (pid " + std::to_string(reg.pid) + ", slot " +
+                     std::to_string(reg.slot + 1) + "/" +
+                     std::to_string(reg.slots) + ", backend " + reg.backend +
+                     ")");
+    }
+    return "";
   }
 
-  /// Remote slots are not respawned in place — the daemon reconnects and
-  /// registers afresh — so dead ones are simply removed.
+  /// Accepted connections are not respawned in place — the daemon
+  /// reconnects and registers afresh — so dead ones are simply removed.
   void reap_dead_remote_locked() {
     slots.erase(std::remove_if(slots.begin(), slots.end(),
                                [](const Slot& slot) {
-                                 return slot.remote &&
-                                        slot.transport == nullptr;
+                                 return !slot.owned() && !slot.socket.valid();
                                }),
                 slots.end());
   }
@@ -459,11 +449,11 @@ struct WorkerPool::Impl {
   /// The degradation chain of distributed mode: if no remote worker
   /// registers within the handshake deadline — or a once-live fleet is
   /// entirely lost with work pending and stays gone for another deadline —
-  /// local pipe workers take over. The listener stays open either way, so
-  /// late or reconnecting daemons still add capacity.
+  /// local workers take over. The listener stays open either way, so late
+  /// or reconnecting daemons still add capacity.
   void maybe_fallback_locked() {
     if (!remote_mode || local_spawned || degraded) return;
-    if (!slots.empty() || !pending_conns.empty()) {
+    if (!slots.empty()) {
       lost_fleet_gate.reset();
       return;
     }
@@ -471,7 +461,7 @@ struct WorkerPool::Impl {
       if (!remote_gate.expired()) return;
       util::log_warn("worker pool: no remote workers registered within " +
                      std::to_string(cfg.handshake_timeout_ms) +
-                     " ms; falling back to local pipe workers");
+                     " ms; falling back to local workers");
     } else {
       if (queue.empty()) return;
       if (!lost_fleet_gate.has_value()) {
@@ -481,47 +471,35 @@ struct WorkerPool::Impl {
       if (!lost_fleet_gate->expired()) return;
       util::log_warn("worker pool: all remote workers lost for " +
                      std::to_string(cfg.handshake_timeout_ms) +
-                     " ms with work pending; falling back to local pipe "
-                     "workers");
+                     " ms with work pending; falling back to local workers");
     }
-    spawn_local_locked();
-  }
-
-  void spawn_local_locked() {
-    local_spawned = true;
     if (command.empty()) {
+      local_spawned = true;
       enter_degraded("no remote workers and subprocess spawning is "
                      "unavailable on this platform");
       return;
     }
-    const std::size_t base = slots.size();
-    for (std::size_t i = 0; i < cfg.workers; ++i) {
-      Slot slot;
-      slot.index = next_slot_index++;
-      slots.push_back(std::move(slot));
-    }
-    std::size_t live = 0;
-    for (std::size_t i = base; i < slots.size(); ++i) {
-      if (spawn_slot(slots[i])) live += 1;
-    }
+    const std::size_t live = spawn_local_locked();
     if (live == 0) {
       // respawn_slots_locked keeps retrying with backoff and degrades the
       // pool if nothing ever comes up.
       util::log_warn("worker pool: local fallback spawn failed; retrying");
     } else {
       util::log_info("worker pool: " + std::to_string(live) +
-                     " local pipe worker(s) spawned as fallback");
+                     " local worker(s) spawned as fallback");
     }
   }
 
   void respawn_slots_locked() {
     for (Slot& slot : slots) {
-      if (slot.remote || slot.transport != nullptr) continue;
+      if (!slot.owned() || slot.socket.valid()) continue;
       if (!slot.respawn_gate.expired()) continue;
       if (spawn_slot(slot)) {
         stat.restarts += 1;
       } else if (spawn_failure_streak >= 2 * slots.size() &&
-                 !any_live_worker()) {
+                 std::none_of(slots.begin(), slots.end(), [](const Slot& s) {
+                   return s.socket.valid();
+                 })) {
         // Every slot has failed to come (back) up repeatedly and nothing is
         // running: give up on processes, keep the study going in-process.
         enter_degraded("cannot spawn workers (" +
@@ -539,32 +517,33 @@ struct WorkerPool::Impl {
     return frame_wire(frame.dump());
   }
 
+  /// Hands `unit` to an idle slot. Returns false — slot retired, unit not
+  /// charged, since it never reached the worker — when the write fails.
+  bool send_unit(Slot& slot, std::shared_ptr<PendingUnit> unit) {
+    if (!slot.socket.write_all(unit_wire(*unit))) {
+      retire_slot(slot, "", /*kill=*/true);
+      return false;
+    }
+    unit->replicas += 1;
+    slot.current = std::move(unit);
+    slot.unit_deadline = cfg.unit_timeout_ms > 0
+                             ? util::Deadline::after_ms(cfg.unit_timeout_ms)
+                             : util::Deadline::never();
+    slot.last_heard_ms = util::monotonic_now_ms();
+    return true;
+  }
+
   void dispatch_locked() {
     for (Slot& slot : slots) {
       // Units resolved while queued (e.g. quarantined through a replica's
       // failure chain) are dropped, not dispatched.
       while (!queue.empty() && queue.front()->resolved) queue.pop_front();
       if (queue.empty()) return;
-      if (slot.transport == nullptr || !slot.ready || slot.partitioned ||
-          slot.current != nullptr) {
-        continue;
-      }
+      if (!slot.schedulable()) continue;
       std::shared_ptr<PendingUnit> unit = queue.front();
       queue.pop_front();
-      if (!slot.transport->write_wire(unit_wire(*unit))) {
-        // The worker died between units; the unit never reached it, so no
-        // attempt is consumed — requeue and retire the slot.
-        queue.push_front(unit);
-        retire_slot(slot, "", /*kill=*/true);
-        continue;
-      }
-      unit->replicas += 1;
       unit->first_dispatch_ms = util::monotonic_now_ms();
-      slot.current = std::move(unit);
-      slot.unit_deadline = cfg.unit_timeout_ms > 0
-                               ? util::Deadline::after_ms(cfg.unit_timeout_ms)
-                               : util::Deadline::never();
-      slot.last_heard_ms = util::monotonic_now_ms();
+      if (!send_unit(slot, unit)) queue.push_front(std::move(unit));
     }
   }
 
@@ -577,10 +556,7 @@ struct WorkerPool::Impl {
     if (cfg.steal_after_ms == 0 || !queue.empty()) return;
     const std::uint64_t now = util::monotonic_now_ms();
     for (Slot& idle : slots) {
-      if (idle.transport == nullptr || !idle.ready || idle.partitioned ||
-          idle.current != nullptr) {
-        continue;
-      }
+      if (!idle.schedulable()) continue;
       Slot* victim = nullptr;
       for (Slot& busy : slots) {
         if (busy.current == nullptr || busy.current->resolved) continue;
@@ -594,36 +570,25 @@ struct WorkerPool::Impl {
         }
       }
       if (victim == nullptr) return;
-      std::shared_ptr<PendingUnit> unit = victim->current;
-      if (!idle.transport->write_wire(unit_wire(*unit))) {
-        retire_slot(idle, "", /*kill=*/true);
-        continue;
-      }
-      unit->replicas += 1;
+      const std::shared_ptr<PendingUnit> unit = victim->current;
+      if (!send_unit(idle, unit)) continue;
       stat.steals += 1;
       util::log_warn("worker pool: stealing straggler " +
-                     unit->unit.key.to_string() + " from " +
-                     victim->transport->describe() + " onto " +
-                     idle.transport->describe() + " (in flight " +
+                     unit->unit.key.to_string() + " from " + victim->name +
+                     " onto " + idle.name + " (in flight " +
                      std::to_string(now - unit->first_dispatch_ms) + " ms)");
-      idle.current = std::move(unit);
-      idle.unit_deadline = cfg.unit_timeout_ms > 0
-                               ? util::Deadline::after_ms(cfg.unit_timeout_ms)
-                               : util::Deadline::never();
-      idle.last_heard_ms = now;
     }
   }
 
   /// Consumes every complete frame a worker has produced. Returns false when
-  /// the worker must be retired (corrupt stream).
+  /// the worker was retired (corrupt stream, rejected registration).
   bool process_frames_locked(Slot& slot) {
     while (true) {
       std::optional<std::string> payload;
       try {
         payload = slot.reader.next();
       } catch (const ProtocolError& error) {
-        retire_slot(slot, std::string{"corrupt frame: "} + error.what(),
-                    /*kill=*/true);
+        fail_slot(slot, std::string{"corrupt frame: "} + error.what());
         return false;
       }
       if (!payload.has_value()) return true;
@@ -634,13 +599,19 @@ struct WorkerPool::Impl {
         frame = util::Json::parse(*payload);
         type = frame.at("type").as_string();
       } catch (const std::exception& error) {
-        retire_slot(slot, std::string{"corrupt frame: "} + error.what(),
-                    /*kill=*/true);
+        fail_slot(slot, std::string{"corrupt frame: "} + error.what());
         return false;
       }
 
       slot.last_heard_ms = util::monotonic_now_ms();
-      if (type == "ready") {
+      if (!slot.registered) {
+        const std::string rejection = register_locked(slot, frame);
+        if (!rejection.empty()) {
+          retire_slot(slot, "registration rejected: " + rejection,
+                      /*kill=*/true);
+          return false;
+        }
+      } else if (type == "ready") {
         slot.ready = true;
       } else if (type == "heartbeat") {
         // liveness timestamp already updated
@@ -653,15 +624,14 @@ struct WorkerPool::Impl {
         try {
           result = candidate_result_from_json(frame.at("result"));
         } catch (const std::exception& error) {
-          retire_slot(slot, std::string{"corrupt result: "} + error.what(),
-                      /*kill=*/true);
+          fail_slot(slot, std::string{"corrupt result: "} + error.what());
           return false;
         }
         // First result wins: with straggler stealing a twin may already
-        // have resolved this unit, in which case this is a no-op.
-        resolve_result(*slot.current, std::move(result));
-        if (slot.current->replicas > 0) slot.current->replicas -= 1;
-        slot.current.reset();
+        // have resolved this unit, in which case it is not handed back.
+        if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+          resolve_result(*unit, std::move(result));
+        }
         slot.consecutive_failures = 0;
       } else if (type == "error") {
         // The worker survived but the unit failed cleanly in-process.
@@ -669,15 +639,11 @@ struct WorkerPool::Impl {
         if (frame.contains("message")) {
           message = frame.at("message").as_string();
         }
-        if (slot.current != nullptr) {
-          std::shared_ptr<PendingUnit> unit = std::move(slot.current);
-          slot.current.reset();
-          if (unit->replicas > 0) unit->replicas -= 1;
-          if (!unit->resolved) fail_attempt(unit, "worker error: " + message);
+        if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+          fail_attempt(unit, "worker error: " + message);
         }
       } else {
-        retire_slot(slot, "unknown frame type '" + type + "'",
-                    /*kill=*/true);
+        fail_slot(slot, "unknown frame type '" + type + "'");
         return false;
       }
     }
@@ -687,32 +653,36 @@ struct WorkerPool::Impl {
   void read_workers_locked() {
     char buffer[8192];
     for (Slot& slot : slots) {
-      if (slot.transport == nullptr) continue;
-      if (slot.remote && slot.current != nullptr) {
-        // Mid-unit connection faults (`conn=reset/partition/slow`).
+      if (!slot.socket.valid()) continue;
+      if (!slot.owned() && (!slot.registered || slot.current != nullptr)) {
+        // Connection faults (`conn=reset/partition/slow`) hit accepted
+        // connections during the handshake or mid-unit.
         const std::string where =
-            "unit " + slot.current->unit.key.to_string();
+            slot.registered ? "unit " + slot.current->unit.key.to_string()
+                            : "handshake";
         switch (util::FaultInjector::instance().on_connection(where)) {
           case util::ConnFaultMode::Reset:
-            retire_slot(slot, "injected connection reset", /*kill=*/true,
-                        /*charge_attempt=*/false);
+            retire_slot(slot, "injected connection reset", /*kill=*/true);
             continue;
+          case util::ConnFaultMode::Slow:
+            // Mid-unit, frames arrive a tick late. A slow handshake is not
+            // read again: its deadline must drop it.
+            if (slot.registered) continue;
+            [[fallthrough]];
           case util::ConnFaultMode::Partition:
             slot.partitioned = true;
             break;
-          case util::ConnFaultMode::Slow:
-            continue;  // drop this read tick; frames arrive next round
           default:
             break;
         }
       }
-      // A partitioned connection blackholes reads; the heartbeat reaper
-      // retires it and the daemon's reconnect is the heal.
+      // A partitioned connection blackholes reads; the heartbeat reaper (or
+      // before registration, the handshake deadline) retires it, and the
+      // daemon's reconnect is the heal.
       if (slot.partitioned) continue;
       bool eof = false;
       while (true) {
-        const ssize_t n =
-            ::read(slot.transport->read_fd(), buffer, sizeof(buffer));
+        const ssize_t n = ::read(slot.socket.fd(), buffer, sizeof(buffer));
         if (n > 0) {
           slot.reader.feed(buffer, static_cast<std::size_t>(n));
           continue;
@@ -727,13 +697,7 @@ struct WorkerPool::Impl {
         break;
       }
       if (!process_frames_locked(slot)) continue;  // slot already retired
-      if (eof) {
-        // A vanished pipe child failed its unit (the process owning the
-        // computation died — charge the attempt, as always); a vanished
-        // connection merely orphans it.
-        retire_slot(slot, "", /*kill=*/false,
-                    /*charge_attempt=*/!slot.remote);
-      }
+      if (eof) retire_slot(slot, "", /*kill=*/false);
     }
   }
 #else
@@ -743,26 +707,36 @@ struct WorkerPool::Impl {
   void check_liveness_locked() {
     const std::uint64_t now = util::monotonic_now_ms();
     for (Slot& slot : slots) {
-      if (slot.transport == nullptr) continue;
+      if (!slot.socket.valid()) continue;
+      if (!slot.registered) {
+        // One pre-registration rule for every worker: no register frame
+        // by the handshake deadline, no slot.
+        if (slot.handshake_deadline.expired()) {
+          retire_slot(slot,
+                      "no register frame within " +
+                          std::to_string(cfg.handshake_timeout_ms) + " ms",
+                      /*kill=*/true);
+        }
+        continue;
+      }
       const bool busy = slot.current != nullptr;
       if (busy && slot.unit_deadline.expired()) {
-        // The unit itself is slow — charge the attempt on either transport.
-        retire_slot(slot,
-                    "deadline exceeded after " +
-                        std::to_string(cfg.unit_timeout_ms) + " ms",
-                    /*kill=*/true);
+        // The unit itself is slow — charge the attempt on any worker.
+        fail_slot(slot, "deadline exceeded after " +
+                            std::to_string(cfg.unit_timeout_ms) + " ms");
         continue;
       }
       // An idle ready worker is legitimately silent; a busy one must tick,
-      // and a fresh one must answer the init frame. For a remote worker
-      // silence means the HOST or network is gone, not the unit — orphan it.
+      // and a registered one must answer the init frame. Silence on an
+      // accepted connection means the HOST or network is gone, not the
+      // unit, so retire_slot orphans its unit.
       if ((busy || !slot.ready) &&
           now - slot.last_heard_ms > cfg.heartbeat_timeout_ms) {
         retire_slot(slot,
                     std::string{busy ? "no heartbeat for "
                                      : "worker failed to initialize within "} +
                         std::to_string(cfg.heartbeat_timeout_ms) + " ms",
-                    /*kill=*/true, /*charge_attempt=*/!slot.remote);
+                    /*kill=*/true);
       }
     }
   }
@@ -775,11 +749,8 @@ struct WorkerPool::Impl {
       for (const Slot& slot : slots) {
         // Partitioned fds are excluded: their buffered bytes would turn
         // poll() into a busy loop while reads are withheld.
-        if (slot.transport == nullptr || slot.partitioned) continue;
-        fds.push_back(pollfd{slot.transport->read_fd(), POLLIN, 0});
-      }
-      for (const PendingConn& conn : pending_conns) {
-        fds.push_back(pollfd{conn.socket.fd(), POLLIN, 0});
+        if (!slot.socket.valid() || slot.partitioned) continue;
+        fds.push_back(pollfd{slot.socket.fd(), POLLIN, 0});
       }
       if (listener.valid()) {
         fds.push_back(pollfd{listener.fd(), POLLIN, 0});
@@ -829,7 +800,6 @@ struct WorkerPool::Impl {
           queue.clear();
         } else {
           accept_remote_locked();
-          read_pending_conns_locked();
           maybe_fallback_locked();
           respawn_slots_locked();
           dispatch_locked();
@@ -922,25 +892,15 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
           "subprocess spawning is unavailable on this platform");
       return;
     }
-    impl_->local_spawned = true;
-    impl_->slots.resize(impl_->cfg.workers);
-    for (std::size_t i = 0; i < impl_->slots.size(); ++i) {
-      impl_->slots[i].index = i;
-    }
-    impl_->next_slot_index = impl_->slots.size();
-    // Spawn validation happens here, synchronously: if the very first worker
-    // cannot be created (missing binary, fork failure, exec failure via the
-    // status pipe), the pool degrades before any unit is submitted.
-    if (!impl_->spawn_slot(impl_->slots[0])) {
+    // Spawn validation happens here, synchronously: if no worker can be
+    // created (missing binary, fork failure, exec failure via the status
+    // pipe), the pool degrades before any unit is submitted. Partial
+    // failures are not fatal: the dispatcher retries them with backoff.
+    if (impl_->spawn_local_locked() == 0) {
       impl_->enter_degraded("cannot spawn worker process (" +
                             impl_->command[0] + ")");
       impl_->slots.clear();
       return;
-    }
-    for (std::size_t i = 1; i < impl_->slots.size(); ++i) {
-      // Later failures are not fatal: the dispatcher keeps retrying them
-      // with backoff while the first worker carries the load.
-      impl_->spawn_slot(impl_->slots[i]);
     }
     util::log_info("worker pool: " + std::to_string(impl_->cfg.workers) +
                    " worker(s), command " + impl_->command[0]);
@@ -967,14 +927,10 @@ WorkerPool::~WorkerPool() {
         impl_->resolve_exception(*slot.current, destroyed);
         slot.current.reset();
       }
-      // Pipe children get stdin EOF (the Subprocess destructor SIGKILLs and
-      // reaps whatever does not comply); remote daemons get a shutdown
-      // frame so a non-persistent one exits instead of reconnect-looping.
-      if (slot.transport != nullptr) {
-        slot.transport->request_shutdown(impl_->shutdown_wire);
-      }
     }
-    impl_->pending_conns.clear();
+    // Owned children that do not exit on the shutdown frame are SIGKILLed
+    // and reaped by the Subprocess destructor.
+    impl_->stop_workers_locked();
     impl_->listener.close();
   }
 }
@@ -1031,7 +987,10 @@ std::size_t WorkerPool::worker_count() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   const std::size_t target =
       impl_->remote_mode ? impl_->cfg.remote_workers : impl_->cfg.workers;
-  return std::max<std::size_t>(1, std::max(impl_->slots.size(), target));
+  const auto counted = static_cast<std::size_t>(std::count_if(
+      impl_->slots.begin(), impl_->slots.end(),
+      [](const Impl::Slot& slot) { return slot.owned() || slot.registered; }));
+  return std::max<std::size_t>(1, std::max(counted, target));
 }
 
 std::uint16_t WorkerPool::listen_port() const {

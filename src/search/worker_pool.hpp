@@ -1,11 +1,16 @@
 // Supervised multi-process study execution (DESIGN.md §11, §16).
 //
 // WorkerPool shards candidate evaluations across crash-isolated workers
-// speaking the length-prefixed JSON protocol of worker_protocol.hpp over
-// one of two transports: stdin/stdout pipes to re-exec'd instances of the
-// current binary in --worker-mode, or TCP connections from remote
-// qhdl_worker daemons that register themselves against the pool's listener
-// (remote_workers > 0). The supervisor:
+// speaking the length-prefixed JSON protocol of worker_protocol.hpp. Every
+// worker is one stream socket that enters through the same `register` ->
+// `init` -> `ready` handshake: a re-exec of the current binary in
+// --worker-mode, spawned with one end of a socketpair as its stdin and
+// stdout, or a remote qhdl_worker daemon's TCP connection to the pool's
+// listener (remote_workers > 0). The pool keeps one fact per slot — does it
+// own the process? — and that alone decides what a lost worker costs: an
+// owned child is respawned in place and its death charges the unit's retry
+// budget; a lost connection is erased and its unit re-dispatched uncharged.
+// The supervisor:
 //
 //   * enforces a per-unit wall-clock deadline and heartbeat liveness, and
 //     SIGKILLs a worker that exceeds either;
@@ -71,16 +76,16 @@ struct WorkerPoolConfig {
   // --- distributed mode (DESIGN.md §16) ---------------------------------
   /// Expected remote worker registrations. 0 keeps the pool purely local;
   /// > 0 makes it listen on listen_host:listen_port for qhdl_worker
-  /// daemons and widens the dispatch window to this count. Local pipe
-  /// workers are only spawned as a fallback when no daemon registers (or
-  /// the whole fleet is lost) within handshake_timeout_ms.
+  /// daemons and widens the dispatch window to this count. Local workers
+  /// are only spawned as a fallback when no daemon registers (or the whole
+  /// fleet is lost) within handshake_timeout_ms.
   std::size_t remote_workers = 0;
   std::string listen_host = "127.0.0.1";
   /// 0 binds an ephemeral port; query it with WorkerPool::listen_port().
   std::uint16_t listen_port = 0;
-  /// Registration deadline: per accepted connection (register frame must
-  /// arrive within it) and for the fleet as a whole before the pool falls
-  /// back to local pipe workers.
+  /// Registration deadline: per worker, spawned or accepted (its register
+  /// frame must arrive within it), and for the fleet as a whole before the
+  /// pool falls back to local workers.
   std::uint64_t handshake_timeout_ms = 5000;
   /// Straggler work-stealing: an idle worker duplicates a unit that has
   /// been in flight longer than this (first result wins; replicas are
@@ -107,7 +112,7 @@ class WorkerPool {
   /// the pool comes up degraded — evaluate() runs in-process — with the
   /// reason in degraded_reason(); construction never throws for spawn
   /// problems. Distributed mode (remote_workers > 0) binds the listener in
-  /// the constructor and degrades along the chain remote -> local pipes ->
+  /// the constructor and degrades along the chain remote -> local workers ->
   /// in-process as deadlines expire, each step logged.
   WorkerPool(SweepConfig config, WorkerPoolConfig pool_config);
   ~WorkerPool();
@@ -118,8 +123,8 @@ class WorkerPool {
   /// Evaluates the units, blocking until all have a result (in submission
   /// order). Thread-safe: concurrent sweep levels share the pool, and their
   /// units interleave on the workers. Throws util::Interrupted when a
-  /// cooperative shutdown arrives while units are pending (after forwarding
-  /// SIGTERM to live workers).
+  /// cooperative shutdown arrives while units are pending (after sending
+  /// every live worker a shutdown frame).
   std::vector<CandidateResult> evaluate(std::vector<WorkUnit> units);
 
   /// True when the pool executes in-process (spawn failure at construction

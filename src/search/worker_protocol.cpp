@@ -280,14 +280,11 @@ SweepConfig sweep_config_from_json(const util::Json& json) {
   config.feature_sizes.clear();
   const util::Json& sizes = json.at("feature_sizes");
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    config.feature_sizes.push_back(
-        static_cast<std::size_t>(sizes.at(i).as_number()));
+    config.feature_sizes.push_back(sizes.at(i).as_integer<std::size_t>());
   }
   const util::Json& spiral = json.at("spiral");
-  config.spiral.points =
-      static_cast<std::size_t>(spiral.at("points").as_number());
-  config.spiral.classes =
-      static_cast<std::size_t>(spiral.at("classes").as_number());
+  config.spiral.points = spiral.at("points").as_integer<std::size_t>();
+  config.spiral.classes = spiral.at("classes").as_integer<std::size_t>();
   config.spiral.turns = spiral.at("turns").as_number();
   config.spiral.radial_noise = spiral.at("radial_noise").as_number();
   config.geometry = geometry_from_name(json.at("geometry").as_string());
@@ -296,31 +293,27 @@ SweepConfig sweep_config_from_json(const util::Json& json) {
   const util::Json& s = json.at("search");
   SearchConfig& search = config.search;
   search.accuracy_threshold = s.at("accuracy_threshold").as_number();
-  search.runs_per_model =
-      static_cast<std::size_t>(s.at("runs_per_model").as_number());
-  search.repetitions =
-      static_cast<std::size_t>(s.at("repetitions").as_number());
+  search.runs_per_model = s.at("runs_per_model").as_integer<std::size_t>();
+  search.repetitions = s.at("repetitions").as_integer<std::size_t>();
   search.validation_fraction = s.at("validation_fraction").as_number();
   search.classical_activation =
       activation_from_name(s.at("classical_activation").as_string());
   search.seed = u64_from_json(s.at("seed"));
   search.prune_margin = s.at("prune_margin").as_number();
-  search.max_candidates =
-      static_cast<std::size_t>(s.at("max_candidates").as_number());
-  search.threads = static_cast<std::size_t>(s.at("threads").as_number());
-  search.lookahead = static_cast<std::size_t>(s.at("lookahead").as_number());
-  search.run_retries =
-      static_cast<std::size_t>(s.at("run_retries").as_number());
+  search.max_candidates = s.at("max_candidates").as_integer<std::size_t>();
+  search.threads = s.at("threads").as_integer<std::size_t>();
+  search.lookahead = s.at("lookahead").as_integer<std::size_t>();
+  search.run_retries = s.at("run_retries").as_integer<std::size_t>();
 
   const util::Json& t = s.at("train");
   nn::TrainConfig& train = search.train;
-  train.epochs = static_cast<std::size_t>(t.at("epochs").as_number());
-  train.batch_size = static_cast<std::size_t>(t.at("batch_size").as_number());
+  train.epochs = t.at("epochs").as_integer<std::size_t>();
+  train.batch_size = t.at("batch_size").as_integer<std::size_t>();
   train.learning_rate = t.at("learning_rate").as_number();
   train.finite_guard = t.at("finite_guard").as_bool();
   train.early_stop_accuracy = t.at("early_stop_accuracy").as_number();
   train.shuffle = t.at("shuffle").as_bool();
-  train.patience = static_cast<std::size_t>(t.at("patience").as_number());
+  train.patience = t.at("patience").as_integer<std::size_t>();
 
   const util::Json& c = s.at("cost_model");
   flops::CostModel& cost = search.cost_model;
@@ -387,12 +380,9 @@ WorkUnit work_unit_from_json(const util::Json& json) {
   WorkUnit unit;
   const util::Json& key = json.at("key");
   unit.key.family = key.at("family").as_string();
-  unit.key.features =
-      static_cast<std::size_t>(key.at("features").as_number());
-  unit.key.repetition =
-      static_cast<std::size_t>(key.at("repetition").as_number());
-  unit.key.candidate =
-      static_cast<std::size_t>(key.at("candidate").as_number());
+  unit.key.features = key.at("features").as_integer<std::size_t>();
+  unit.key.repetition = key.at("repetition").as_integer<std::size_t>();
+  unit.key.candidate = key.at("candidate").as_integer<std::size_t>();
   unit.spec = model_spec_from_json(json.at("spec"));
   const util::Json& streams = json.at("streams");
   unit.streams.reserve(streams.size());
@@ -419,12 +409,16 @@ WorkerRegistration registration_from_json(const util::Json& json) {
     if (json.at("type").as_string() != "register") {
       throw std::runtime_error("frame type is not 'register'");
     }
-    registration.version = static_cast<int>(json.at("version").as_number());
+    registration.version = json.at("version").as_integer<int>();
     registration.backend = json.at("backend").as_string();
-    registration.slots =
-        static_cast<std::size_t>(json.at("slots").as_number());
-    registration.slot = static_cast<std::size_t>(json.at("slot").as_number());
-    registration.pid = static_cast<long>(json.at("pid").as_number());
+    registration.slots = json.at("slots").as_integer<std::size_t>();
+    registration.slot = json.at("slot").as_integer<std::size_t>();
+    registration.pid = json.at("pid").as_integer<long>();
+    if (registration.slot >= registration.slots) {
+      throw std::runtime_error("slot " + std::to_string(registration.slot) +
+                               " is not below the slot count " +
+                               std::to_string(registration.slots));
+    }
   } catch (const std::exception& error) {
     throw ProtocolError(std::string{"bad register frame: "} + error.what());
   }
@@ -561,7 +555,7 @@ CandidateResult quarantined_unit_result(
 namespace {
 
 /// Serializes one worker output stream: the heartbeat thread and the unit
-/// loop both emit frames on it (stdout for pipe workers, the connected
+/// loop both emit frames on it (stdout for local children, the connected
 /// socket for TCP daemons).
 class FrameChannel {
  public:
@@ -637,9 +631,8 @@ struct WorkerLoopResult {
   bool saw_init = false;  ///< the session got far enough to be real work
 };
 
-/// The worker side of the protocol, generic over the stream: blocking reads
-/// from `in_fd`, replies through `out`. Shared by pipe workers (stdin/
-/// stdout) and TCP daemon slots (the connected socket, both directions).
+/// The worker side of the protocol after registration: blocking reads from
+/// `in_fd`, replies through `out`.
 WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
                                  UnitDataCache& cache) {
   FrameReader reader;
@@ -695,8 +688,7 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
 
     if (type == "init") {
       try {
-        const int version =
-            static_cast<int>(frame.at("version").as_number());
+        const int version = frame.at("version").as_integer<int>();
         if (version != kWorkerProtocolVersion) {
           util::log_error("worker: unsupported protocol version " +
                           std::to_string(version));
@@ -704,8 +696,8 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
           return outcome;
         }
         config = sweep_config_from_json(frame.at("config"));
-        heartbeat_interval_ms = static_cast<std::uint64_t>(
-            frame.at("heartbeat_interval_ms").as_number());
+        heartbeat_interval_ms =
+            frame.at("heartbeat_interval_ms").as_integer<std::uint64_t>();
       } catch (const std::exception& error) {
         util::log_error(std::string{"worker: bad init frame: "} +
                         error.what());
@@ -800,15 +792,34 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
   }
 }
 
+/// One worker session, whoever started the process: a `register` frame
+/// on `out`, then the init/unit protocol read from `in_fd`. Local children
+/// (stdin/stdout, one socketpair end) and daemon slots (a TCP connection)
+/// both open this way.
+WorkerLoopResult serve_session(int in_fd, FrameChannel& out,
+                               std::size_t slots, std::size_t slot,
+                               UnitDataCache& cache) {
+  WorkerRegistration registration;
+  registration.backend = util::simd::active_backend().name;
+  registration.slots = slots;
+  registration.slot = slot;
+  registration.pid = static_cast<long>(::getpid());
+  if (!out.send(registration_to_json(registration))) {
+    return WorkerLoopResult{WorkerLoopEnd::PeerGone, false};
+  }
+  return run_worker_loop(in_fd, out, cache);
+}
+
 }  // namespace
 
 int worker_main() {
-  // The supervisor may die while this worker writes to it; a broken pipe
-  // should surface as a failed write, not SIGPIPE.
+  // The supervisor may die while this worker writes to it; a broken
+  // connection should surface as a failed write, not SIGPIPE.
   util::install_sigpipe_guard();
   FrameChannel out{STDOUT_FILENO};
   UnitDataCache cache;
-  const WorkerLoopResult outcome = run_worker_loop(STDIN_FILENO, out, cache);
+  const WorkerLoopResult outcome =
+      serve_session(STDIN_FILENO, out, /*slots=*/1, /*slot=*/0, cache);
   return (outcome.end == WorkerLoopEnd::Shutdown ||
           outcome.end == WorkerLoopEnd::Eof)
              ? 0
@@ -858,20 +869,11 @@ int remote_worker_main(const RemoteWorkerOptions& options) {
           if (!back_off(error.what())) return;
           continue;
         }
-        FrameChannel out{socket.fd()};
-        WorkerRegistration registration;
-        registration.backend = util::simd::active_backend().name;
-        registration.slots = slots;
-        registration.slot = slot;
-        registration.pid = static_cast<long>(::getpid());
-        if (!out.send(registration_to_json(registration))) {
-          if (!back_off("registration write failed")) return;
-          continue;
-        }
-        util::log_info(tag + "registered with " + options.host + ":" +
+        util::log_info(tag + "connected to " + options.host + ":" +
                        std::to_string(options.port));
+        FrameChannel out{socket.fd()};
         const WorkerLoopResult served =
-            run_worker_loop(socket.fd(), out, cache);
+            serve_session(socket.fd(), out, slots, slot, cache);
         if (served.end == WorkerLoopEnd::Shutdown) {
           if (!options.persist) {
             util::log_info(tag + "shutdown from supervisor; exiting");

@@ -25,12 +25,12 @@
 // Anything else — oversized lengths, unparseable JSON, unknown types — is
 // garbage; the supervisor kills the emitting worker and retries the unit.
 //
-// The same protocol runs over two transports (DESIGN.md §16): CLOEXEC pipes
-// to re-exec'd local children (`--workers N`) and TCP connections from
-// remote worker daemons (`qhdl_worker --connect host:port`). Pipe workers
-// are implicitly registered by being spawned; a TCP worker must open with a
-// `register` frame (protocol version, kernel backend name, slot count) and
-// only becomes schedulable once the supervisor answers with `init`.
+// Every worker opens its session with a `register` frame (protocol version,
+// kernel backend name, slot count) and becomes schedulable only once the
+// supervisor answers with `init` (DESIGN.md §16). A local child
+// (`--workers N`) speaks over one end of a socketpair as its stdin and
+// stdout; a remote daemon (`qhdl_worker --connect host:port`) over a TCP
+// connection. The bytes are the same on both.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,8 @@
 
 namespace qhdl::search {
 
-// v2 added the TCP registration handshake (`register` frames); pipe framing
-// and every other frame type are unchanged from v1.
+// v2 added the registration handshake (`register` frames); framing and
+// every other frame type are unchanged from v1.
 inline constexpr int kWorkerProtocolVersion = 2;
 
 /// Upper bound on a frame payload; a length prefix beyond it means the
@@ -135,8 +135,8 @@ util::Rng rng_from_json(const util::Json& json);
 util::Json work_unit_to_json(const WorkUnit& unit);
 WorkUnit work_unit_from_json(const util::Json& json);
 
-/// The opening frame a TCP worker sends after connecting: who it is and
-/// what it brings. `backend` is the worker's active SIMD kernel backend
+/// The opening frame of every worker session: who it is and what it
+/// brings. `backend` is the worker's active SIMD kernel backend
 /// name — the supervisor warns when it differs from its own, because only
 /// the production backends (generic/avx2/avx512fma) are bit-identical.
 struct WorkerRegistration {
@@ -201,9 +201,10 @@ CandidateResult quarantined_unit_result(
     const std::vector<std::string>& attempt_causes);
 
 /// Worker-process entry point: drivers dispatch to this when invoked with
-/// --worker-mode. Speaks the framed protocol on stdin/stdout until EOF or a
-/// shutdown frame; stderr is ordinary logging. Returns the process exit
-/// code. Observes the FaultInjector's `worker` site on each unit receipt.
+/// --worker-mode. Registers as slot 0 of 1, then speaks the framed protocol
+/// on stdin/stdout (the pool's socketpair) until EOF or a shutdown frame;
+/// stderr is ordinary logging. Returns the process exit code. Observes the
+/// FaultInjector's `worker` site on each unit receipt.
 int worker_main();
 
 /// Remote worker daemon (qhdl_worker --connect, or a test binary's

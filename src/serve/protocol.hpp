@@ -1,7 +1,7 @@
 // Request/reply vocabulary of the qhdl_serve wire protocol (DESIGN.md §15).
 //
 // Transport: TCP, one length-prefixed JSON frame per message — the exact
-// framing the worker pool speaks over pipes (search/worker_protocol.hpp),
+// framing the worker pool speaks to its workers (search/worker_protocol.hpp),
 // including the 16MB cap and the truncation/oversize error behaviour. A
 // connection carries one request and receives exactly one *terminal* reply
 // frame, then the server closes it. A study request that sets

@@ -411,12 +411,10 @@ struct Server::Impl {
         search::sweep_config_from_json(job.request.at("config"));
 
     auto checkpoint = cache.checkpoint_for(config);
-    const std::size_t hits_before = checkpoint->replay_hits();
-    const std::size_t misses_before = checkpoint->replay_misses();
 
     std::unique_ptr<search::WorkerPool> pool;
     // Remote fleets don't need local subprocess support: the pool's own
-    // fallback chain (remote -> local pipes -> in-process) handles the
+    // fallback chain (remote -> local workers -> in-process) handles the
     // degenerate cases.
     const bool want_pool = cfg.pool_workers > 0 || cfg.pool.remote_workers > 0;
     if (want_pool &&
@@ -454,9 +452,12 @@ struct Server::Impl {
       };
     }
 
+    // Counted per request: concurrent requests for one config share the
+    // checkpoint, so its own counters would mix their lookups.
+    search::ReplayTally tally;
     const search::SweepResult sweep = search::run_complexity_sweep(
         family, config, checkpoint.get(), pool.get(), &job.cancel,
-        progress_fn ? &progress_fn : nullptr);
+        progress_fn ? &progress_fn : nullptr, &tally);
     if (pool != nullptr) {
       const search::WorkerPoolStats pool_stats = pool->stats();
       bump([&pool_stats](ServerStats& s) {
@@ -474,8 +475,8 @@ struct Server::Impl {
     reply["config_hash"] = checkpoint->config_hash();
     reply["sweep"] = search::sweep_to_json(sweep);
     util::Json cache_json = util::Json::object();
-    cache_json["unit_hits"] = checkpoint->replay_hits() - hits_before;
-    cache_json["unit_misses"] = checkpoint->replay_misses() - misses_before;
+    cache_json["unit_hits"] = tally.hits.load();
+    cache_json["unit_misses"] = tally.misses.load();
     reply["cache"] = std::move(cache_json);
     return reply;
   }
@@ -483,12 +484,10 @@ struct Server::Impl {
   util::Json run_train(Job& job) {
     const search::SweepConfig config =
         search::sweep_config_from_json(job.request.at("config"));
-    const auto features =
-        static_cast<std::size_t>(job.request.at("features").as_number());
+    const auto features = job.request.at("features").as_integer<std::size_t>();
     const std::size_t repetition =
         job.request.contains("repetition")
-            ? static_cast<std::size_t>(
-                  job.request.at("repetition").as_number())
+            ? job.request.at("repetition").as_integer<std::size_t>()
             : 0;
     const search::ModelSpec spec =
         search::model_spec_from_json(job.request.at("spec"));
@@ -534,8 +533,7 @@ struct Server::Impl {
   }
 
   util::Json run_sleep(Job& job) {
-    const auto total_ms =
-        static_cast<std::uint64_t>(job.request.at("ms").as_number());
+    const auto total_ms = job.request.at("ms").as_integer<std::uint64_t>();
     const util::Deadline done = util::Deadline::after_ms(
         total_ms == 0 ? 1 : total_ms);
     while (!done.expired()) {

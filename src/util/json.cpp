@@ -178,6 +178,24 @@ double Json::as_number() const {
   return number_;
 }
 
+double Json::checked_integer(int bits, bool is_signed) const {
+  const double n = as_number();
+  const double limit = std::ldexp(1.0, bits);
+  const bool integral = std::trunc(n) == n;  // false for NaN
+  if (integral && n >= (is_signed ? -limit : 0.0) && n < limit) return n;
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.17g", n);
+  if (!integral) {
+    throw std::invalid_argument(std::string{"Json number "} + text +
+                                " is not an integer");
+  }
+  throw std::out_of_range(std::string{"Json number "} + text +
+                          " is out of range for a " +
+                          std::to_string(bits + (is_signed ? 1 : 0)) +
+                          "-bit " + (is_signed ? "signed" : "unsigned") +
+                          " integer");
+}
+
 const std::string& Json::as_string() const {
   if (type_ != Type::String) {
     throw std::logic_error("Json::as_string: not a string");

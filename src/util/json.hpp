@@ -3,10 +3,12 @@
 // and the nn serialization module round-trips model weights through it.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace qhdl::util {
@@ -54,6 +56,16 @@ class Json {
   // --- read accessors (throw std::logic_error on type mismatch) ----------
   bool as_bool() const;
   double as_number() const;
+  /// Checked integer read for numbers that arrive from a peer or a file:
+  /// throws std::invalid_argument unless the number is integral and
+  /// std::out_of_range unless Int can hold it (negatives never fit an
+  /// unsigned Int). A blind cast of such a double is undefined behaviour.
+  template <typename Int>
+  Int as_integer() const {
+    static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>);
+    return static_cast<Int>(checked_integer(std::numeric_limits<Int>::digits,
+                                            std::is_signed_v<Int>));
+  }
   const std::string& as_string() const;
   /// Array element (checked).
   const Json& at(std::size_t index) const;
@@ -79,6 +91,9 @@ class Json {
 
  private:
   void dump_impl(std::string& out, int indent, int depth) const;
+  /// as_number(), checked to lie in [-2^bits, 2^bits) when signed, else in
+  /// [0, 2^bits), and to have no fractional part.
+  double checked_integer(int bits, bool is_signed) const;
 
   Type type_;
   bool bool_ = false;

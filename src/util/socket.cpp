@@ -103,6 +103,11 @@ void Socket::shutdown_write() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
+void Socket::set_nonblocking() {
+  const int flags = fd_ >= 0 ? ::fcntl(fd_, F_GETFL, 0) : -1;
+  if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+}
+
 void Socket::close() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -298,6 +303,7 @@ bool sockets_supported() { return false; }
 
 bool Socket::write_all(const char*, std::size_t) { return false; }
 void Socket::shutdown_write() {}
+void Socket::set_nonblocking() {}
 void Socket::close() { fd_ = -1; }
 
 Socket connect_tcp(const std::string&, std::uint16_t, std::uint64_t) {

@@ -1,4 +1,5 @@
-// Minimal POSIX TCP sockets for the serving layer (serve/server.hpp).
+// Minimal POSIX stream sockets for the serving layer (serve/server.hpp)
+// and the worker pool (search/worker_pool.hpp).
 //
 // The serve protocol reuses the worker-pool's length-prefixed JSON framing,
 // which operates on plain file descriptors — this header only has to supply
@@ -30,7 +31,9 @@ namespace qhdl::util {
 /// True when this build can open TCP sockets.
 bool sockets_supported();
 
-/// A connected TCP stream. Move-only; the destructor closes the fd.
+/// A connected stream: a TCP connection, or the parent's end of a worker
+/// child's socketpair (util::Subprocess). Move-only; the destructor closes
+/// the fd.
 class Socket {
  public:
   Socket() = default;
@@ -54,6 +57,10 @@ class Socket {
 
   /// Half-close: signals EOF to the peer while reads stay open.
   void shutdown_write();
+
+  /// Makes reads and writes non-blocking, for poll()-multiplexed readers
+  /// such as the worker pool's dispatcher.
+  void set_nonblocking();
 
   void close();
 

@@ -5,12 +5,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/logging.hpp"
-
 #if defined(__unix__) || defined(__APPLE__)
 #define QHDL_HAVE_SUBPROCESS 1
 #include <csignal>
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 extern char** environ;
@@ -103,26 +102,20 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   }
   install_sigpipe_guard();
 
-  // [0] = read end, [1] = write end. Every end is close-on-exec from the
-  // moment it exists: another thread's concurrent spawn must not leak these
-  // into its child (an inherited status_pipe[1] would block our read below
-  // until that unrelated child exits). The child's dup2 onto stdin/stdout
-  // yields descriptors without the flag, which are the only ones it keeps.
-  int to_child[2] = {-1, -1};
-  int from_child[2] = {-1, -1};
+  // Every descriptor is close-on-exec from the moment it exists: another
+  // thread's concurrent spawn must not leak these into its child (an
+  // inherited status_pipe[1] would block our read below until that
+  // unrelated child exits). The child's dup2 onto stdin/stdout yields
+  // descriptors without the flag, which are the only ones it keeps.
+  int channel[2] = {-1, -1};      // [0] parent's end, [1] child's end
   int status_pipe[2] = {-1, -1};  // closes on successful exec
-  if (::pipe2(to_child, O_CLOEXEC) != 0) spawn_fail("pipe", errno);
-  if (::pipe2(from_child, O_CLOEXEC) != 0) {
-    const int saved = errno;
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    spawn_fail("pipe", saved);
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, channel) != 0) {
+    spawn_fail("socketpair", errno);
   }
   if (::pipe2(status_pipe, O_CLOEXEC) != 0) {
     const int saved = errno;
-    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
-      ::close(fd);
-    }
+    ::close(channel[0]);
+    ::close(channel[1]);
     spawn_fail("pipe", saved);
   }
 
@@ -144,19 +137,18 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   const pid_t pid = ::fork();
   if (pid < 0) {
     const int saved = errno;
-    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1],
-                   status_pipe[0], status_pipe[1]}) {
+    for (int fd : {channel[0], channel[1], status_pipe[0], status_pipe[1]}) {
       ::close(fd);
     }
     spawn_fail("fork", saved);
   }
 
   if (pid == 0) {
-    // Child: wire pipes to stdin/stdout, restore default SIGPIPE, exec.
-    // exec closes every other pipe end.
+    // Child: wire its socket end to stdin and stdout, restore default
+    // SIGPIPE, exec. exec closes every other descriptor the library opened.
     ::signal(SIGPIPE, SIG_DFL);
-    ::dup2(to_child[0], STDIN_FILENO);
-    ::dup2(from_child[1], STDOUT_FILENO);
+    ::dup2(channel[1], STDIN_FILENO);
+    ::dup2(channel[1], STDOUT_FILENO);
     ::execve(argv_ptrs[0], argv_ptrs.data(), env_ptrs.data());
     // exec failed: report errno through the CLOEXEC pipe and vanish.
     const int exec_errno = errno;
@@ -167,8 +159,7 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
   }
 
   // Parent.
-  ::close(to_child[0]);
-  ::close(from_child[1]);
+  ::close(channel[1]);
   ::close(status_pipe[1]);
 
   int exec_errno = 0;
@@ -179,55 +170,15 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
     // exec failed; reap the stillborn child and report why.
     int raw = 0;
     ::waitpid(pid, &raw, 0);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
+    ::close(channel[0]);
     throw std::runtime_error("Subprocess::spawn: cannot execute " + argv[0] +
                              ": " + std::strerror(exec_errno));
   }
 
-  ::fcntl(from_child[0], F_SETFL,
-          ::fcntl(from_child[0], F_GETFL) | O_NONBLOCK);
-
   Subprocess child;
   child.pid_ = pid;
-  child.stdin_fd_ = to_child[1];
-  child.stdout_fd_ = from_child[0];
+  child.socket_ = Socket{channel[0]};
   return child;
-}
-
-bool Subprocess::write_all(const char* data, std::size_t size) {
-  if (stdin_fd_ < 0) return false;
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(stdin_fd_, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EPIPE) {
-        // Clean peer disconnect: the child closed its stdin end (most
-        // likely it died). The supervisor's reap/respawn path owns the
-        // recovery, so this is expected traffic, not an anomaly.
-        log_debug("Subprocess::write_all: EPIPE (child closed its stdin)");
-      } else {
-        log_warn(std::string{"Subprocess::write_all: write failed: "} +
-                 std::strerror(errno));
-      }
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-void Subprocess::close_stdin() {
-  if (stdin_fd_ >= 0) {
-    ::close(stdin_fd_);
-    stdin_fd_ = -1;
-  }
-}
-
-void Subprocess::terminate() {
-  if (pid_ > 0 && !status_.has_value()) ::kill(static_cast<pid_t>(pid_),
-                                               SIGTERM);
 }
 
 void Subprocess::kill_hard() {
@@ -246,6 +197,7 @@ std::optional<ExitStatus> Subprocess::try_wait() {
 
 ExitStatus Subprocess::wait() {
   if (status_.has_value()) return *status_;
+  if (pid_ <= 0) return ExitStatus{};
   int raw = 0;
   pid_t reaped = -1;
   do {
@@ -255,18 +207,9 @@ ExitStatus Subprocess::wait() {
   return *status_;
 }
 
-void Subprocess::close_fds() {
-  close_stdin();
-  if (stdout_fd_ >= 0) {
-    ::close(stdout_fd_);
-    stdout_fd_ = -1;
-  }
-}
-
 Subprocess::Subprocess(Subprocess&& other) noexcept
     : pid_(std::exchange(other.pid_, -1)),
-      stdin_fd_(std::exchange(other.stdin_fd_, -1)),
-      stdout_fd_(std::exchange(other.stdout_fd_, -1)),
+      socket_(std::move(other.socket_)),
       status_(std::move(other.status_)) {
   other.status_.reset();
 }
@@ -277,10 +220,8 @@ Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
       kill_hard();
       wait();
     }
-    close_fds();
     pid_ = std::exchange(other.pid_, -1);
-    stdin_fd_ = std::exchange(other.stdin_fd_, -1);
-    stdout_fd_ = std::exchange(other.stdout_fd_, -1);
+    socket_ = std::move(other.socket_);
     status_ = std::move(other.status_);
     other.status_.reset();
   }
@@ -292,7 +233,6 @@ Subprocess::~Subprocess() {
     kill_hard();
     wait();
   }
-  close_fds();
 }
 
 #else  // !QHDL_HAVE_SUBPROCESS
@@ -310,13 +250,9 @@ Subprocess Subprocess::spawn(const std::vector<std::string>&,
       "platform");
 }
 
-bool Subprocess::write_all(const char*, std::size_t) { return false; }
-void Subprocess::close_stdin() {}
-void Subprocess::terminate() {}
 void Subprocess::kill_hard() {}
 std::optional<ExitStatus> Subprocess::try_wait() { return status_; }
 ExitStatus Subprocess::wait() { return ExitStatus{}; }
-void Subprocess::close_fds() {}
 Subprocess::Subprocess(Subprocess&&) noexcept {}
 Subprocess& Subprocess::operator=(Subprocess&&) noexcept { return *this; }
 Subprocess::~Subprocess() {}

@@ -1,7 +1,9 @@
 // Minimal POSIX subprocess wrapper for the supervised worker pool
-// (search/worker_pool.hpp): spawn a child with piped stdin/stdout (stderr
-// inherited, so worker logs interleave with the supervisor's), write to it,
-// poll/read its output fd, and kill/reap it.
+// (search/worker_pool.hpp): spawn a child whose stdin and stdout are both
+// one end of an AF_UNIX socketpair (stderr inherited, so worker logs
+// interleave with the supervisor's), talk to it through the other end —
+// a util::Socket, the same type a TCP worker connection is — and kill/reap
+// it.
 //
 // Spawn failures are detected synchronously via the classic CLOEXEC
 // status-pipe trick, so "the binary does not exist" surfaces as an exception
@@ -14,6 +16,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "util/socket.hpp"
 
 namespace qhdl::util {
 
@@ -43,20 +47,22 @@ struct ExitStatus {
   std::string to_string() const;
 };
 
-/// A spawned child with piped stdin/stdout. Move-only; the destructor
+/// A spawned child talking over a socketpair. Move-only; the destructor
 /// SIGKILLs and reaps a child that is still running (no zombies, ever).
 class Subprocess {
  public:
   /// Spawns argv (argv[0] must be an absolute or cwd-relative path; PATH is
   /// not searched). `extra_env` entries of the form "KEY=value" override or
-  /// extend the inherited environment. The child's stdout read fd is set
-  /// non-blocking for poll()-based multiplexing. The child inherits only
-  /// its stdin/stdout pipes and the caller's stderr: every pipe and socket
-  /// the library opens is close-on-exec. Throws std::runtime_error
-  /// when the process cannot be created or the binary cannot be executed.
+  /// extend the inherited environment. The child's stdin and stdout are one
+  /// end of a socketpair; socket() is the other. The child inherits only
+  /// that end and the caller's stderr: every pipe and socket the library
+  /// opens is close-on-exec. Throws std::runtime_error when the process
+  /// cannot be created or the binary cannot be executed.
   static Subprocess spawn(const std::vector<std::string>& argv,
                           const std::vector<std::string>& extra_env = {});
 
+  /// An empty handle: no child, pid() == -1 (also the moved-from state).
+  Subprocess() = default;
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;
   Subprocess(const Subprocess&) = delete;
@@ -64,36 +70,25 @@ class Subprocess {
   ~Subprocess();
 
   long pid() const { return pid_; }
-  /// Write end of the child's stdin (-1 after close_stdin()).
-  int stdin_fd() const { return stdin_fd_; }
-  /// Read end of the child's stdout (non-blocking).
-  int stdout_fd() const { return stdout_fd_; }
 
-  /// Writes the whole buffer to the child's stdin. Returns false when the
-  /// pipe is broken (child died) — never raises SIGPIPE.
-  bool write_all(const char* data, std::size_t size);
+  /// The parent's end of the socketpair (blocking). Writes reach the
+  /// child's stdin, its stdout arrives as reads, and shutdown_write() is
+  /// its stdin EOF. Callers may move the socket out to own it themselves.
+  Socket& socket() { return socket_; }
 
-  /// Closes the child's stdin (EOF is the cooperative shutdown signal).
-  void close_stdin();
-
-  /// SIGTERM (cooperative) / SIGKILL (hard). Both are no-ops once reaped.
-  void terminate();
+  /// SIGKILL; a no-op once reaped.
   void kill_hard();
 
   /// Non-blocking reap: the exit status once the child has ended, nullopt
   /// while it is still running. Idempotent after the child is reaped.
   std::optional<ExitStatus> try_wait();
 
-  /// Blocking reap.
+  /// Blocking reap (an empty handle reports a default ExitStatus).
   ExitStatus wait();
 
  private:
-  Subprocess() = default;
-  void close_fds();
-
   long pid_ = -1;
-  int stdin_fd_ = -1;
-  int stdout_fd_ = -1;
+  Socket socket_;
   std::optional<ExitStatus> status_;
 };
 

@@ -110,6 +110,31 @@ TEST(DistributedProtocol, RegistrationRoundTrips) {
   EXPECT_EQ(back.pid, 4242);
 }
 
+// Every numeric field is peer-sent: out-of-range, negative or fractional
+// values are a ProtocolError, never a blind cast.
+TEST(DistributedProtocol, RegistrationRejectsOutOfRangeNumbers) {
+  WorkerRegistration registration;
+  registration.backend = "generic";
+  registration.slots = 2;
+  registration.slot = 1;
+  registration.pid = 4242;
+  const util::Json valid = registration_to_json(registration);
+  ASSERT_NO_THROW(registration_from_json(valid));
+  const std::vector<std::pair<std::string, util::Json>> bad = {
+      {"version", util::Json{1e300}}, {"version", util::Json{2.5}},
+      {"slots", util::Json{-3}},      {"slots", util::Json{1e20}},
+      {"slot", util::Json{2.5}},      {"slot", util::Json{-1}},
+      {"slot", util::Json{2}},  // not below the slot count
+      {"pid", util::Json{1e300}},     {"pid", util::Json{0.5}},
+  };
+  for (const auto& [field, value] : bad) {
+    util::Json frame = valid;
+    frame[field] = value;
+    EXPECT_THROW(registration_from_json(frame), ProtocolError)
+        << field << "=" << value.dump();
+  }
+}
+
 TEST(DistributedProtocol, BackoffJitterIsDeterministicAndBounded) {
   // Pure function of its inputs: the reconnect schedule is reproducible.
   EXPECT_EQ(backoff_with_jitter_ms(100, 5000, 3, 7, 1),

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -27,6 +28,7 @@
 #include "search/results.hpp"
 #include "util/deadline.hpp"
 #include "util/fault_injection.hpp"
+#include "util/interrupt.hpp"
 #include "util/rng.hpp"
 #include "util/subprocess.hpp"
 
@@ -317,6 +319,49 @@ TEST(WorkerPool, DestructionWakesDispatcher) {
                                   .count();
     EXPECT_LT(elapsed_ms, 25.0) << "round " << round;
   }
+}
+
+// An interrupt fails every pending unit — queued or in flight — with
+// util::Interrupted and sends each live worker a shutdown frame. A worker
+// wedged mid-unit never reads that frame, so destruction must still SIGKILL
+// and reap it within the same bound as an idle one.
+TEST(WorkerPool, InterruptFailsPendingUnitsAndStopsWorkers) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  struct ClearInterrupt {
+    ~ClearInterrupt() { util::clear_interrupt(); }
+  } clear_interrupt;
+  const SweepConfig config = sweep_config();
+  WorkerPoolConfig pool_config;
+  pool_config.workers = 1;
+  pool_config.worker_env = {"QHDL_FAULT_SPEC=worker=hang@1"};
+  auto pool = std::make_unique<WorkerPool>(config, pool_config);
+  ASSERT_FALSE(pool->degraded()) << pool->degraded_reason();
+
+  std::vector<WorkUnit> units;
+  util::Rng rng{11};
+  for (std::size_t candidate = 0; candidate < 2; ++candidate) {
+    WorkUnit unit;
+    unit.key = UnitKey{"classical", 4, 0, candidate};
+    unit.spec = ModelSpec::make_classical({4});
+    for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
+      unit.streams.push_back(rng.split());
+    }
+    units.push_back(std::move(unit));
+  }
+  // The first unit wedges the only worker; the second waits in the queue.
+  std::thread interrupter{[] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    util::request_interrupt();
+  }};
+  EXPECT_THROW(pool->evaluate(std::move(units)), util::Interrupted);
+  interrupter.join();
+
+  const auto start = std::chrono::steady_clock::now();
+  pool.reset();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, 25.0);
 }
 
 // --- supervised failure handling -----------------------------------------

@@ -184,6 +184,71 @@ TEST_F(ServeServerTest, GoldenRepeatedStudyIsCacheServedByteIdentical) {
   EXPECT_EQ(stats.cache.unit_misses, 2u);
 }
 
+// A study reply's cache counters are the request's own lookups: concurrent
+// identical requests share one checkpoint, and must not count each other's
+// units.
+TEST_F(ServeServerTest, ConcurrentStudiesReportOnlyTheirOwnCacheHits) {
+  const search::SweepConfig config = tiny_study();
+  ServerConfig server_config;
+  server_config.executors = 4;
+  Server server{server_config};
+  server.start();
+  const util::Json request =
+      make_study_request(search::Family::Classical, config);
+  const util::Json warm =
+      round_trip("127.0.0.1", server.port(), request, 120000);
+  ASSERT_EQ(warm.at("type").as_string(), "result");
+
+  constexpr int kClients = 4;
+  std::vector<util::Json> replies(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      replies[i] = round_trip("127.0.0.1", server.port(), request, 120000);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (const util::Json& reply : replies) {
+    ASSERT_EQ(reply.at("type").as_string(), "result");
+    EXPECT_EQ(reply.at("cache").at("unit_hits").as_number(), 2.0);
+    EXPECT_EQ(reply.at("cache").at("unit_misses").as_number(), 0.0);
+    EXPECT_EQ(reply.at("sweep").dump(2), warm.at("sweep").dump(2));
+  }
+  // The shared totals still count every lookup.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.cache.unit_hits, 2u * kClients);
+  EXPECT_EQ(stats.cache.unit_misses, 2u);
+}
+
+// Numbers a client sends are checked, never cast blindly: an out-of-range
+// or fractional count is an error reply, and the server keeps serving.
+TEST_F(ServeServerTest, OutOfRangeNumbersAreErrorRepliesNotCrashes) {
+  Server server{ServerConfig{}};
+  server.start();
+  util::Json train = util::Json::object();
+  train["type"] = "train";
+  train["config"] = search::sweep_config_to_json(tiny_study());
+  train["spec"] =
+      search::model_spec_to_json(search::ModelSpec::make_classical({2}));
+  train["features"] = -1;
+  util::Json reply = round_trip("127.0.0.1", server.port(), train, 5000);
+  EXPECT_EQ(reply.at("type").as_string(), "error");
+
+  train["features"] = 4;
+  train["repetition"] = 2.5;
+  reply = round_trip("127.0.0.1", server.port(), train, 5000);
+  EXPECT_EQ(reply.at("type").as_string(), "error");
+
+  util::Json sleep = sleep_request(0);
+  sleep["ms"] = 1e300;
+  reply = round_trip("127.0.0.1", server.port(), sleep, 5000);
+  EXPECT_EQ(reply.at("type").as_string(), "error");
+
+  reply = round_trip("127.0.0.1", server.port(), sleep_request(0), 5000);
+  EXPECT_EQ(reply.at("type").as_string(), "result");
+  EXPECT_EQ(server.stats().jobs_failed, 3u);
+}
+
 TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {
   if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
   const search::SweepConfig config = tiny_study();

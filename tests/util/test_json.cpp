@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 namespace qhdl::util {
 namespace {
 
@@ -65,6 +70,29 @@ TEST(Json, TypeErrors) {
   EXPECT_THROW(number.size(), std::logic_error);
   Json arr = Json::array();
   EXPECT_THROW(arr["k"], std::logic_error);
+}
+
+TEST(Json, CheckedIntegerReadsAcceptExactFits) {
+  EXPECT_EQ(Json{42}.as_integer<std::size_t>(), 42u);
+  EXPECT_EQ(Json{-7}.as_integer<int>(), -7);
+  EXPECT_EQ(Json{-2147483648.0}.as_integer<int>(), -2147483647 - 1);
+  EXPECT_EQ(Json{2147483647.0}.as_integer<int>(), 2147483647);
+  EXPECT_EQ(Json{9007199254740992.0}.as_integer<std::uint64_t>(),
+            9007199254740992ull);
+}
+
+TEST(Json, CheckedIntegerReadsRejectWhatACastWouldMangle) {
+  EXPECT_THROW(Json{2.5}.as_integer<std::size_t>(), std::invalid_argument);
+  EXPECT_THROW(Json{-1}.as_integer<std::size_t>(), std::out_of_range);
+  EXPECT_THROW(Json{1e300}.as_integer<int>(), std::out_of_range);
+  EXPECT_THROW(Json{-1e300}.as_integer<long>(), std::out_of_range);
+  EXPECT_THROW(Json{2147483648.0}.as_integer<int>(), std::out_of_range);
+  EXPECT_THROW(Json{18446744073709551616.0}.as_integer<std::uint64_t>(),
+               std::out_of_range);
+  EXPECT_THROW(Json{std::numeric_limits<double>::infinity()}.as_integer<int>(),
+               std::out_of_range);
+  EXPECT_THROW(Json{std::nan("")}.as_integer<int>(), std::invalid_argument);
+  EXPECT_THROW(Json{"7"}.as_integer<int>(), std::logic_error);
 }
 
 TEST(Json, EmptyContainers) {

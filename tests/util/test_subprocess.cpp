@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <poll.h>
 #include <unistd.h>
 #endif
 
+#include <cerrno>
 #include <filesystem>
 #include <string>
 
@@ -18,40 +18,50 @@ namespace {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-/// Drains the child's (non-blocking) stdout until EOF, polling in between.
+/// Reads the child's stdout from the parent's socket end until EOF.
 std::string read_all(Subprocess& child) {
   std::string out;
   char buffer[1024];
   while (true) {
-    const ssize_t n = ::read(child.stdout_fd(), buffer, sizeof(buffer));
+    const ssize_t n = ::read(child.socket().fd(), buffer, sizeof(buffer));
     if (n > 0) {
       out.append(buffer, static_cast<std::size_t>(n));
       continue;
     }
-    if (n == 0) break;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      pollfd fd{child.stdout_fd(), POLLIN, 0};
-      ::poll(&fd, 1, 1000);
-      continue;
-    }
-    if (errno == EINTR) continue;
+    if (n < 0 && errno == EINTR) continue;
     break;
   }
   return out;
 }
 
-TEST(Subprocess, EchoesThroughPipes) {
+TEST(Subprocess, EchoesThroughSocket) {
   ASSERT_TRUE(subprocess_supported());
   Subprocess child = Subprocess::spawn({"/bin/cat"});
   EXPECT_GT(child.pid(), 0);
-  const std::string message = "hello across the pipe\n";
-  EXPECT_TRUE(child.write_all(message.data(), message.size()));
-  child.close_stdin();
+  const std::string message = "hello across the socketpair\n";
+  EXPECT_TRUE(child.socket().write_all(message));
+  child.socket().shutdown_write();  // the child's stdin EOF
   EXPECT_EQ(read_all(child), message);
   const ExitStatus status = child.wait();
   EXPECT_TRUE(status.exited);
   EXPECT_EQ(status.exit_code, 0);
   EXPECT_EQ(status.to_string(), "exit 0");
+}
+
+TEST(Subprocess, StdinAndStdoutAreOneSocket) {
+  Subprocess child = Subprocess::spawn(
+      {"/bin/sh", "-c", "[ -S /dev/stdin ] && [ /dev/stdin -ef /dev/stdout ]"});
+  const ExitStatus status = child.wait();
+  EXPECT_TRUE(status.exited && status.exit_code == 0) << status.to_string();
+}
+
+TEST(Subprocess, EmptyHandleHasNoChild) {
+  Subprocess empty;
+  EXPECT_EQ(empty.pid(), -1);
+  EXPECT_FALSE(empty.socket().valid());
+  EXPECT_FALSE(empty.try_wait().has_value());
+  const ExitStatus status = empty.wait();  // must not reap another child
+  EXPECT_FALSE(status.exited || status.signaled);
 }
 
 TEST(Subprocess, KillHardReportsSignal) {
@@ -75,14 +85,13 @@ TEST(Subprocess, ExtraEnvOverridesInherited) {
   Subprocess child = Subprocess::spawn(
       {"/bin/sh", "-c", "printf '%s' \"$QHDL_SUBPROCESS_TEST\""},
       {"QHDL_SUBPROCESS_TEST=overridden"});
-  child.close_stdin();
   EXPECT_EQ(read_all(child), "overridden");
   EXPECT_TRUE(child.wait().exited);
 }
 
 // Two pools spawning concurrently (one per serve executor) must not leak
-// each other's pipe ends, the server's sockets or wake pipes into their
-// children: every pipe and socket the library opens is close-on-exec.
+// each other's socketpair ends, the server's sockets or wake pipes into
+// their children: every pipe and socket the library opens is close-on-exec.
 TEST(Subprocess, ChildInheritsOnlyStdio) {
   if (!sockets_supported()) GTEST_SKIP() << "no socket support";
   if (!std::filesystem::exists("/proc/self/fd")) {
@@ -97,12 +106,10 @@ TEST(Subprocess, ChildInheritsOnlyStdio) {
   WakePipe wake;
 
   for (const int fd : {listener.fd(), client.fd(), accepted->fd(),
-                       sibling.stdin_fd(), sibling.stdout_fd(),
-                       wake.read_fd()}) {
+                       sibling.socket().fd(), wake.read_fd()}) {
     const std::string path = "/proc/self/fd/" + std::to_string(fd);
     Subprocess probe =
         Subprocess::spawn({"/bin/sh", "-c", "[ ! -e " + path + " ]"});
-    probe.close_stdin();
     const ExitStatus status = probe.wait();
     EXPECT_TRUE(status.exited && status.exit_code == 0)
         << "child inherited fd " << fd << " (" << status.to_string() << ")";

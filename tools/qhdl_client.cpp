@@ -138,10 +138,10 @@ int main(int argc, char** argv) {
             std::fprintf(
                 stderr, "progress: %s features=%d rep=%d unit %d/%d%s\n",
                 frame.at("family").as_string().c_str(),
-                static_cast<int>(frame.at("features").as_number()),
-                static_cast<int>(frame.at("repetition").as_number()),
-                static_cast<int>(frame.at("units_done").as_number()),
-                static_cast<int>(frame.at("total_units").as_number()),
+                frame.at("features").as_integer<int>(),
+                frame.at("repetition").as_integer<int>(),
+                frame.at("units_done").as_integer<int>(),
+                frame.at("total_units").as_integer<int>(),
                 frame.at("winner_found").as_bool() ? " (winner found)" : "");
           },
           timeout_ms);

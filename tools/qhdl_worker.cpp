@@ -9,9 +9,10 @@
 // with seeded, jittered exponential backoff; every reconnect is a fresh
 // registration, so the supervisor sees the slot come back on its own.
 //
-// Exit codes: 0 on a clean shutdown (supervisor sent a shutdown frame, or
-// the connection closed after a served session without --persist... the
-// daemon simply reconnects in that case), 1 when --max-retries ran out.
+// Exit codes: 0 once every slot has received a shutdown frame (with
+// --persist a slot reconnects instead, so the daemon runs until killed), 1
+// when any slot ran out of --max-retries. A connection lost without a
+// shutdown frame is never an exit: the slot reconnects.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
