@@ -58,29 +58,10 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 1,
               "Search concurrency (families, levels, candidate lookahead, "
               "runs, quantum batches); results are thread-count independent");
-  cli.add_int("workers", 0,
-              "Crash-isolated worker processes for candidate evaluation "
-              "(0 = in-process); results are identical either way");
-  cli.add_double("unit-timeout", 0.0,
-                 "Wall-clock budget per candidate evaluation in seconds "
-                 "when using --workers (0 = no deadline)");
-  cli.add_int("worker-retries", 2,
-              "Failed attempts allowed per unit beyond the first before it "
-              "is quarantined (with --workers)");
-  cli.add_string("listen", "",
-                 "Listen address host:port (port 0 = ephemeral, printed at "
-                 "startup) for remote qhdl_worker daemons; requires "
-                 "--workers-remote");
-  cli.add_int("workers-remote", 0,
-              "Expected remote worker registrations; falls back to local "
-              "--workers if none arrive within --handshake-timeout");
-  cli.add_double("handshake-timeout", 5.0,
-                 "Registration deadline in seconds (per connection, and for "
-                 "the remote fleet before local fallback)");
-  cli.add_double("steal-after", 0.0,
-                 "Duplicate a unit onto an idle worker once it has been in "
-                 "flight this many seconds (0 = off); first result wins, "
-                 "results unchanged");
+  search::add_worker_pool_options(
+      cli,
+      "Crash-isolated worker processes for candidate evaluation "
+      "(0 = in-process); results are identical either way");
   cli.add_int("seed", 42, "Search seed");
   cli.add_string("out", "qhdl_results/study", "Output directory");
   try {
@@ -115,69 +96,15 @@ int main(int argc, char** argv) {
 
     // Supervised multi-process execution. The pool degrades to in-process
     // evaluation (same results, no isolation) if workers cannot spawn.
-    std::unique_ptr<search::WorkerPool> pool;
-    if (cli.get_int("workers") > 0 || cli.get_int("workers-remote") > 0) {
-      search::WorkerPoolConfig pool_config;
-      if (cli.get_int("workers") > 0) {
-        pool_config.workers =
-            static_cast<std::size_t>(cli.get_int("workers"));
-      }
-      pool_config.unit_timeout_ms = static_cast<std::uint64_t>(
-          cli.get_double("unit-timeout") * 1000.0);
-      pool_config.unit_retries =
-          static_cast<std::size_t>(cli.get_int("worker-retries"));
-      if (cli.get_int("workers-remote") > 0) {
-        pool_config.remote_workers =
-            static_cast<std::size_t>(cli.get_int("workers-remote"));
-        pool_config.handshake_timeout_ms = static_cast<std::uint64_t>(
-            cli.get_double("handshake-timeout") * 1000.0);
-        if (!cli.get_string("listen").empty() &&
-            !search::parse_host_port(cli.get_string("listen"),
-                                     &pool_config.listen_host,
-                                     &pool_config.listen_port)) {
-          throw std::runtime_error(
-              "--listen requires host:port (e.g. --listen 0.0.0.0:7200)");
-        }
-      }
-      pool_config.steal_after_ms = static_cast<std::uint64_t>(
-          cli.get_double("steal-after") * 1000.0);
-      pool = std::make_unique<search::WorkerPool>(config, pool_config);
-      if (pool->listen_port() != 0) {
-        std::printf("listening for qhdl_worker daemons on %s:%u\n",
-                    pool_config.listen_host.c_str(), pool->listen_port());
-      }
-      if (pool->degraded()) {
-        std::fprintf(stderr,
-                     "warning: worker pool degraded to in-process "
-                     "execution: %s\n",
-                     pool->degraded_reason().c_str());
-      }
-    }
+    const std::unique_ptr<search::WorkerPool> pool =
+        search::start_worker_pool(cli);
 
     std::printf("Running the %s protocol; artifacts -> %s/\n\n",
                 cli.flag("paper") ? "PAPER" : "reduced bench", out.c_str());
     const core::ComplexityStudy study{config};
     const core::StudyResult result = study.run(checkpoint.get(), pool.get());
 
-    if (pool) {
-      const search::WorkerPoolStats stats = pool->stats();
-      if (stats.restarts + stats.retried_units + stats.quarantined_units +
-              stats.steals + stats.remote_lost + stats.handshake_rejects >
-          0) {
-        std::printf("worker pool: %zu restart(s), %zu retried unit(s), %zu "
-                    "quarantined unit(s), %zu stolen unit(s)\n",
-                    stats.restarts, stats.retried_units,
-                    stats.quarantined_units, stats.steals);
-      }
-      if (stats.remote_registered + stats.remote_lost +
-              stats.handshake_rejects >
-          0) {
-        std::printf("worker pool: %zu remote registration(s), %zu remote "
-                    "connection(s) lost, %zu handshake reject(s)\n",
-                    stats.remote_registered, stats.remote_lost,
-                    stats.handshake_rejects);
-      }
-    }
+    if (pool) std::fputs(search::worker_pool_report(*pool).c_str(), stdout);
 
     // Per-family winner tables (Figs. 6-9 data).
     for (const auto* sweep :

@@ -80,6 +80,7 @@ SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
         resume.family = family_name(family);
         resume.features = features;
         resume.pool = pool;
+        resume.sweep = &config;
         resume.cancel = cancel;
         resume.progress = progress;
         resume.tally = tally;

@@ -250,6 +250,9 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
   // worker process has a unit in flight. Window size never changes results
   // (streams are drawn in FLOPs order regardless), only scheduling.
   if (resume.pool != nullptr) {
+    if (resume.sweep == nullptr) {
+      throw std::invalid_argument("search_once: a pool needs its sweep config");
+    }
     window = std::max(window, resume.pool->worker_count());
   }
 
@@ -306,7 +309,7 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
         slots.push_back(i);
       }
       std::vector<CandidateResult> pooled =
-          resume.pool->evaluate(std::move(units));
+          resume.pool->evaluate(*resume.sweep, std::move(units));
       for (std::size_t u = 0; u < pooled.size(); ++u) {
         results[slots[u]] = std::move(pooled[u]);
       }

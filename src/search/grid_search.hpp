@@ -120,6 +120,7 @@ struct RepeatedSearchResult {
 
 class StudyCheckpoint;
 class WorkerPool;
+struct SweepConfig;
 
 /// Durable-execution context for a repeated search. When `checkpoint` is
 /// non-null, every completed work unit — one candidate evaluation, keyed by
@@ -130,11 +131,12 @@ class WorkerPool;
 /// bit-identical to an uninterrupted one (see DESIGN.md §10).
 ///
 /// When `pool` is non-null, fresh units are dispatched to the crash-isolated
-/// worker pool (DESIGN.md §11) instead of the in-process thread pool. Only
-/// run_complexity_sweep sets this: pooled units must be reproducible from
-/// the SweepConfig alone, which a standalone search's arbitrary dataset is
-/// not. Results remain bit-identical to in-process execution because each
-/// unit ships the pre-split run streams drawn below.
+/// worker pool (DESIGN.md §11), as units of `sweep`, instead of the
+/// in-process thread pool. Only run_complexity_sweep sets the two: pooled
+/// units must be reproducible from the sweep's own SweepConfig, which a
+/// standalone search's arbitrary dataset is not. Results remain
+/// bit-identical to in-process execution because each unit ships the
+/// pre-split run streams drawn below.
 /// When `cancel` is non-null, search_once polls it at the same unit-window
 /// boundaries where it polls the process interrupt flag, and throws
 /// util::Cancelled when the token fires — per-job cancellation for the
@@ -172,6 +174,7 @@ struct ResumeContext {
   std::string family;        ///< family_name() of the sweep ("" standalone)
   std::size_t features = 0;  ///< complexity level
   WorkerPool* pool = nullptr;
+  const SweepConfig* sweep = nullptr;  ///< the config pooled units belong to
   const util::CancelToken* cancel = nullptr;
   /// Optional progress sink (see ProgressEvent); not owned, may be null.
   const ProgressFn* progress = nullptr;

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <future>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,6 +21,7 @@
 #endif
 
 #include "util/backend_registry.hpp"
+#include "util/cli.hpp"
 #include "util/deadline.hpp"
 #include "util/fault_injection.hpp"
 #include "util/interrupt.hpp"
@@ -62,6 +65,9 @@ struct WorkerPool::Impl {
   /// or exception).
   struct PendingUnit {
     WorkUnit unit;
+    /// The shipped sweep config, shared by the units of one evaluate() call.
+    std::shared_ptr<const SweepConfig> config;
+    std::string wire;  ///< the unit frame, built once at submission
     std::size_t attempts = 0;
     std::size_t replicas = 0;    ///< dispatched copies currently in flight
     std::size_t orphanings = 0;  ///< uncharged re-dispatches (transport loss)
@@ -103,7 +109,6 @@ struct WorkerPool::Impl {
     }
   };
 
-  SweepConfig worker_config;  ///< sweep config as shipped (worker threads)
   WorkerPoolConfig cfg;
   std::vector<std::string> command;
   std::string init_wire;
@@ -174,7 +179,7 @@ struct WorkerPool::Impl {
                       std::to_string(unit->attempts) +
                       " failed attempts (" + all + ")");
       resolve_result(*unit,
-                     quarantined_unit_result(worker_config, unit->unit,
+                     quarantined_unit_result(*unit->config, unit->unit,
                                              unit->causes));
     } else {
       if (unit->attempts == 1) stat.retried_units += 1;
@@ -321,8 +326,8 @@ struct WorkerPool::Impl {
   }
 
   /// Asks every worker to end its session: a `shutdown` frame (a worker
-  /// finishes its in-flight unit first, and a non-persistent daemon exits
-  /// instead of reconnecting), then a half-close. Returns the live count.
+  /// finishes its in-flight unit first, and a daemon exits instead of
+  /// reconnecting), then a half-close. Returns the live count.
   std::size_t stop_workers_locked() {
     std::size_t live = 0;
     for (Slot& slot : slots) {
@@ -510,17 +515,10 @@ struct WorkerPool::Impl {
     }
   }
 
-  std::string unit_wire(const PendingUnit& unit) const {
-    util::Json frame = util::Json::object();
-    frame["type"] = "unit";
-    frame["unit"] = work_unit_to_json(unit.unit);
-    return frame_wire(frame.dump());
-  }
-
   /// Hands `unit` to an idle slot. Returns false — slot retired, unit not
   /// charged, since it never reached the worker — when the write fails.
   bool send_unit(Slot& slot, std::shared_ptr<PendingUnit> unit) {
-    if (!slot.socket.write_all(unit_wire(*unit))) {
+    if (!slot.socket.write_all(unit->wire)) {
       retire_slot(slot, "", /*kill=*/true);
       return false;
     }
@@ -776,7 +774,7 @@ struct WorkerPool::Impl {
           std::exception_ptr error;
           CandidateResult result;
           try {
-            result = evaluate_unit(worker_config, units[i]->unit, cache);
+            result = evaluate_unit(*units[i]->config, units[i]->unit, cache);
           } catch (...) {
             error = std::current_exception();
           }
@@ -823,7 +821,7 @@ struct WorkerPool::Impl {
   }
 };
 
-WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
+WorkerPool::WorkerPool(WorkerPoolConfig pool_config)
     : impl_(std::make_unique<Impl>()) {
   // A worker dying mid-write must come back as EPIPE from write_all, never
   // as a supervisor-killing signal (spawn() also installs this, but the
@@ -831,11 +829,6 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
   util::install_sigpipe_guard();
   impl_->cfg = pool_config;
   impl_->cfg.workers = std::max<std::size_t>(1, impl_->cfg.workers);
-  impl_->worker_config = std::move(config);
-  // Inside a worker the only parallelism is a unit's runs_per_model.
-  impl_->worker_config.search.threads =
-      std::max<std::size_t>(1, pool_config.worker_threads);
-  impl_->worker_config.search.lookahead = 0;
   impl_->local_backend = util::simd::active_backend().name;
 
   bool local_available = true;
@@ -854,7 +847,6 @@ WorkerPool::WorkerPool(SweepConfig config, WorkerPoolConfig pool_config)
   init["type"] = "init";
   init["version"] = kWorkerProtocolVersion;
   init["heartbeat_interval_ms"] = impl_->cfg.heartbeat_interval_ms;
-  init["config"] = sweep_config_to_json(impl_->worker_config);
   impl_->init_wire = frame_wire(init.dump());
   util::Json shutdown = util::Json::object();
   shutdown["type"] = "shutdown";
@@ -936,24 +928,36 @@ WorkerPool::~WorkerPool() {
 }
 
 std::vector<CandidateResult> WorkerPool::evaluate(
-    std::vector<WorkUnit> units) {
+    const SweepConfig& config, std::vector<WorkUnit> units) {
   util::throw_if_interrupted();
   if (units.empty()) return {};
+
+  // Inside a worker the only parallelism is a unit's runs_per_model.
+  auto shipped = std::make_shared<SweepConfig>(config);
+  shipped->search.threads =
+      std::max<std::size_t>(1, impl_->cfg.worker_threads);
+  shipped->search.lookahead = 0;
+  util::Json frame = util::Json::object();
+  frame["type"] = "unit";
+  frame["config"] = sweep_config_to_json(*shipped);
 
   bool inline_now = false;
   std::vector<std::shared_ptr<Impl::PendingUnit>> pending;
   std::vector<std::future<CandidateResult>> futures;
   pending.reserve(units.size());
   futures.reserve(units.size());
+  for (WorkUnit& unit : units) {
+    auto p = std::make_shared<Impl::PendingUnit>();
+    frame["unit"] = work_unit_to_json(unit);
+    p->wire = frame_wire(frame.dump());
+    p->unit = std::move(unit);
+    p->config = shipped;
+    futures.push_back(p->promise.get_future());
+    pending.push_back(std::move(p));
+  }
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     inline_now = impl_->degraded && !impl_->dispatcher_running;
-    for (WorkUnit& unit : units) {
-      auto p = std::make_shared<Impl::PendingUnit>();
-      p->unit = std::move(unit);
-      futures.push_back(p->promise.get_future());
-      pending.push_back(std::move(p));
-    }
     if (!inline_now) {
       for (const auto& p : pending) impl_->queue.push_back(p);
     }
@@ -1001,6 +1005,96 @@ std::uint16_t WorkerPool::listen_port() const {
 WorkerPoolStats WorkerPool::stats() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return impl_->stat;
+}
+
+void add_worker_pool_options(util::Cli& cli,
+                             const std::string& workers_help) {
+  cli.add_int("workers", 0, workers_help);
+  cli.add_double("unit-timeout", 0.0,
+                 "Wall-clock budget per candidate evaluation in seconds "
+                 "when using workers (0 = no deadline)");
+  cli.add_int("worker-retries", 2,
+              "Failed attempts allowed per unit beyond the first before it "
+              "is quarantined (with workers)");
+  cli.add_string("listen", "",
+                 "Listen address host:port (port 0 = ephemeral, reported "
+                 "when the pool starts) for qhdl_worker daemons");
+  cli.add_int("workers-remote", 0,
+              "Expected remote worker registrations; falls back to local "
+              "--workers if none arrive within --handshake-timeout");
+  cli.add_double("handshake-timeout", 5.0,
+                 "Registration deadline in seconds (per connection, and for "
+                 "the remote fleet before local fallback)");
+  cli.add_double("steal-after", 0.0,
+                 "Duplicate a unit onto an idle worker once it has been in "
+                 "flight this many seconds (0 = off); results unchanged");
+}
+
+std::optional<WorkerPoolConfig> worker_pool_config_from_cli(
+    const util::Cli& cli) {
+  if (cli.get_int("workers") <= 0 && cli.get_int("workers-remote") <= 0) {
+    return std::nullopt;
+  }
+  const auto ms = [&cli](const char* name) {
+    return static_cast<std::uint64_t>(cli.get_double(name) * 1000.0);
+  };
+  WorkerPoolConfig config;
+  if (cli.get_int("workers") > 0) {
+    config.workers = static_cast<std::size_t>(cli.get_int("workers"));
+  }
+  config.unit_timeout_ms = ms("unit-timeout");
+  config.unit_retries =
+      static_cast<std::size_t>(std::max<long>(0, cli.get_int("worker-retries")));
+  config.steal_after_ms = ms("steal-after");
+  if (cli.get_int("workers-remote") > 0) {
+    config.remote_workers =
+        static_cast<std::size_t>(cli.get_int("workers-remote"));
+    config.handshake_timeout_ms = ms("handshake-timeout");
+    if (!cli.get_string("listen").empty() &&
+        !parse_host_port(cli.get_string("listen"), &config.listen_host,
+                         &config.listen_port)) {
+      throw std::invalid_argument(
+          "--listen requires host:port (e.g. --listen 0.0.0.0:7200)");
+    }
+  }
+  return config;
+}
+
+std::unique_ptr<WorkerPool> start_worker_pool(const util::Cli& cli) {
+  const std::optional<WorkerPoolConfig> config =
+      worker_pool_config_from_cli(cli);
+  if (!config.has_value()) return nullptr;
+  auto pool = std::make_unique<WorkerPool>(*config);
+  if (pool->listen_port() != 0) {
+    std::printf("listening for qhdl_worker daemons on %s:%u\n",
+                config->listen_host.c_str(), pool->listen_port());
+  }
+  if (pool->degraded()) {
+    std::fprintf(stderr, "warning: worker pool degraded to in-process "
+                 "execution: %s\n", pool->degraded_reason().c_str());
+  }
+  return pool;
+}
+
+std::string worker_pool_report(const WorkerPool& pool) {
+  const WorkerPoolStats s = pool.stats();
+  std::string report;
+  if (s.restarts + s.retried_units + s.quarantined_units + s.steals +
+          s.remote_lost + s.handshake_rejects >
+      0) {
+    report += "worker pool: " + std::to_string(s.restarts) +
+              " restart(s), " + std::to_string(s.retried_units) +
+              " retried unit(s), " + std::to_string(s.quarantined_units) +
+              " quarantined unit(s), " + std::to_string(s.steals) +
+              " stolen unit(s)\n";
+  }
+  if (s.remote_registered + s.remote_lost + s.handshake_rejects > 0) {
+    report += "worker pool: " + std::to_string(s.remote_registered) +
+              " remote registration(s), " + std::to_string(s.remote_lost) +
+              " remote connection(s) lost, " +
+              std::to_string(s.handshake_rejects) + " handshake reject(s)\n";
+  }
+  return report;
 }
 
 }  // namespace qhdl::search

@@ -27,20 +27,30 @@
 //     workers cannot be spawned at all, or mid-run when respawns keep
 //     failing — with the reason logged and queryable.
 //
+// The pool holds no sweep config: each evaluate() call names its units'
+// config and each unit frame carries it, so one pool serves any number of
+// studies (qhdl_serve keeps one for its life).
+//
 // Determinism: the supervisor pre-splits every unit's RNG streams in FLOPs
 // order (grid_search.cpp) and ships them in the unit frame; workers
-// re-derive datasets/splits from the sweep config; results merge back in
-// submission order. A multi-process sweep is therefore byte-identical to an
-// in-process one (pinned by the worker-pool golden test), regardless of
-// worker count, scheduling, crashes, or retries that eventually succeed.
+// re-derive datasets/splits from the shipped sweep config; results merge
+// back in submission order. A multi-process sweep is therefore
+// byte-identical to an in-process one (pinned by the worker-pool golden
+// test), regardless of worker count, scheduling, crashes, or retries that
+// eventually succeed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "search/worker_protocol.hpp"
+
+namespace qhdl::util {
+class Cli;
+}
 
 namespace qhdl::search {
 
@@ -114,18 +124,27 @@ class WorkerPool {
   /// problems. Distributed mode (remote_workers > 0) binds the listener in
   /// the constructor and degrades along the chain remote -> local workers ->
   /// in-process as deadlines expire, each step logged.
-  WorkerPool(SweepConfig config, WorkerPoolConfig pool_config);
+  explicit WorkerPool(WorkerPoolConfig pool_config);
+  /// Ignores `config`. Kept only because perfbench/src/serve_mixed.cpp
+  /// times a spawn through this signature, and perfbench/ changes only
+  /// together with the benchmark definition; nothing else may call it.
+  [[deprecated("use WorkerPool(WorkerPoolConfig)")]] WorkerPool(
+      const SweepConfig&, WorkerPoolConfig pool_config)
+      : WorkerPool(std::move(pool_config)) {}
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Evaluates the units, blocking until all have a result (in submission
-  /// order). Thread-safe: concurrent sweep levels share the pool, and their
+  /// Evaluates units of sweep `config`, blocking until all have a result
+  /// (in submission order); workers get a copy with search.threads =
+  /// worker_threads and lookahead 0, which never change a result.
+  /// Thread-safe: concurrent levels and studies share the pool, and their
   /// units interleave on the workers. Throws util::Interrupted when a
   /// cooperative shutdown arrives while units are pending (after sending
   /// every live worker a shutdown frame).
-  std::vector<CandidateResult> evaluate(std::vector<WorkUnit> units);
+  std::vector<CandidateResult> evaluate(const SweepConfig& config,
+                                        std::vector<WorkUnit> units);
 
   /// True when the pool executes in-process (spawn failure at construction
   /// or persistent respawn failure mid-run).
@@ -147,5 +166,23 @@ class WorkerPool {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Declares the worker-fleet options every pool-using program shares:
+/// --workers (help text `workers_help`), --unit-timeout, --worker-retries,
+/// --listen, --workers-remote, --handshake-timeout, --steal-after.
+void add_worker_pool_options(util::Cli& cli, const std::string& workers_help);
+
+/// The WorkerPoolConfig those options describe, or nullopt when neither
+/// --workers nor --workers-remote asks for a pool. Throws
+/// std::invalid_argument on a malformed --listen.
+std::optional<WorkerPoolConfig> worker_pool_config_from_cli(
+    const util::Cli& cli);
+
+/// The pool those options describe (null when they ask for none); prints
+/// the address daemons dial and, on stderr, why a pool came up degraded.
+std::unique_ptr<WorkerPool> start_worker_pool(const util::Cli& cli);
+
+/// Closing report lines on the pool's health counters ("" if all zero).
+std::string worker_pool_report(const WorkerPool& pool);
 
 }  // namespace qhdl::search

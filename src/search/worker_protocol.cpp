@@ -468,6 +468,7 @@ bool parse_host_port(const std::string& text, std::string* host,
 
 struct UnitDataCache::Impl {
   struct Entry {
+    std::string config_hash;
     std::size_t features = 0;
     std::size_t repetition = 0;
     std::shared_ptr<const data::TrainValSplit> split;
@@ -480,10 +481,12 @@ UnitDataCache::UnitDataCache() : impl_(std::make_shared<Impl>()) {}
 
 std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
     const SweepConfig& config, std::size_t features, std::size_t repetition) {
+  std::string config_hash = sweep_config_hash(config);
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     for (const Impl::Entry& entry : impl_->entries) {
-      if (entry.features == features && entry.repetition == repetition) {
+      if (entry.config_hash == config_hash && entry.features == features &&
+          entry.repetition == repetition) {
         return entry.split;
       }
     }
@@ -500,7 +503,8 @@ std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
   data::standardize_split(*split);
 
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->entries.push_back(Impl::Entry{features, repetition, split});
+  impl_->entries.push_back(
+      Impl::Entry{std::move(config_hash), features, repetition, split});
   // Bound memory: a worker streams units grouped by (level, repetition), so
   // a short MRU window gets all the reuse there is.
   constexpr std::size_t kMaxEntries = 8;
@@ -636,7 +640,6 @@ struct WorkerLoopResult {
 WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
                                  UnitDataCache& cache) {
   FrameReader reader;
-  std::optional<SweepConfig> config;
   std::uint64_t heartbeat_interval_ms = 250;
   WorkerLoopResult outcome;
 
@@ -695,7 +698,6 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
           outcome.end = WorkerLoopEnd::Malformed;
           return outcome;
         }
-        config = sweep_config_from_json(frame.at("config"));
         heartbeat_interval_ms =
             frame.at("heartbeat_interval_ms").as_integer<std::uint64_t>();
       } catch (const std::exception& error) {
@@ -720,14 +722,16 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
       outcome.end = WorkerLoopEnd::Malformed;
       return outcome;
     }
-    if (!config.has_value()) {
+    if (!outcome.saw_init) {
       util::log_error("worker: unit frame before init");
       outcome.end = WorkerLoopEnd::Malformed;
       return outcome;
     }
 
+    SweepConfig config;
     WorkUnit unit;
     try {
+      config = sweep_config_from_json(frame.at("config"));
       unit = work_unit_from_json(frame.at("unit"));
     } catch (const std::exception& error) {
       util::log_error(std::string{"worker: bad unit frame: "} + error.what());
@@ -766,7 +770,7 @@ WorkerLoopResult run_worker_loop(int in_fd, FrameChannel& out,
       CandidateResult result;
       {
         HeartbeatTicker ticker{key, heartbeat_interval_ms, out};
-        result = evaluate_unit(*config, unit, cache);
+        result = evaluate_unit(config, unit, cache);
       }
       util::Json reply = util::Json::object();
       reply["type"] = "result";
@@ -836,9 +840,9 @@ int remote_worker_main(const RemoteWorkerOptions& options) {
     threads.emplace_back([&options, slots, slot, &gave_up] {
       const std::string tag =
           "qhdl_worker slot " + std::to_string(slot) + ": ";
-      // Level splits are derived from the sweep config, not the connection;
-      // keeping the cache across reconnects avoids re-deriving them after a
-      // supervisor restart.
+      // Splits are keyed by sweep config, not by connection; keeping the
+      // cache across reconnects avoids re-deriving them after a supervisor
+      // restart.
       UnitDataCache cache;
       std::size_t failures = 0;
       const auto back_off = [&](const std::string& why) {
@@ -875,14 +879,8 @@ int remote_worker_main(const RemoteWorkerOptions& options) {
         const WorkerLoopResult served =
             serve_session(socket.fd(), out, slots, slot, cache);
         if (served.end == WorkerLoopEnd::Shutdown) {
-          if (!options.persist) {
-            util::log_info(tag + "shutdown from supervisor; exiting");
-            return;
-          }
-          util::log_info(tag + "shutdown from supervisor; reconnecting "
-                               "(--persist)");
-          failures = 0;
-          continue;
+          util::log_info(tag + "shutdown from supervisor; exiting");
+          return;
         }
         // A served session resets the failure streak: this disconnect is
         // the first failure of a new one.

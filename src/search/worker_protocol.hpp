@@ -4,18 +4,20 @@
 // A work unit is one candidate evaluation — the same (family, features,
 // repetition, candidate) unit the PR-4 checkpoint keys — plus everything a
 // fresh process needs to reproduce it bit-for-bit: the candidate's
-// ModelSpec and the pre-split per-run RNG streams the in-process search
-// would have consumed. The worker re-derives the level dataset and the
-// repetition's train/val split from the sweep config it received at init
-// (replaying exactly the derivation run_repeated_search performs), trains
-// the unit with qhdl::search::evaluate_candidate on the shipped streams,
-// and returns the CandidateResult in the checkpoint's own JSON encoding —
-// so a multi-process sweep is byte-identical to an in-process one.
+// ModelSpec, the pre-split per-run RNG streams the in-process search would
+// have consumed, and the sweep config the unit belongs to. The worker
+// re-derives the level dataset and the repetition's train/val split from
+// that config (replaying exactly the derivation run_repeated_search
+// performs), trains the unit with qhdl::search::evaluate_candidate on the
+// shipped streams, and returns the CandidateResult in the checkpoint's own
+// JSON encoding — so a multi-process sweep is byte-identical to an
+// in-process one. Because every unit names its config, one worker serves
+// units of any number of studies, interleaved.
 //
 // Framing: every message is a 4-byte big-endian payload length followed by
 // that many bytes of UTF-8 JSON. Frame types:
-//   supervisor -> worker: init {version, config, heartbeat_interval_ms}
-//                         unit {unit}
+//   supervisor -> worker: init {version, heartbeat_interval_ms}
+//                         unit {config, unit}
 //                         shutdown {}
 //   worker -> supervisor: register {version, backend, slots, slot, pid}
 //                         ready {pid}
@@ -47,9 +49,10 @@
 
 namespace qhdl::search {
 
-// v2 added the registration handshake (`register` frames); framing and
-// every other frame type are unchanged from v1.
-inline constexpr int kWorkerProtocolVersion = 2;
+// v2 added the registration handshake (`register` frames); v3 moved the
+// sweep config from `init` into every `unit` frame. Framing is unchanged
+// from v1.
+inline constexpr int kWorkerProtocolVersion = 3;
 
 /// Upper bound on a frame payload; a length prefix beyond it means the
 /// stream is garbage (a real unit/result frame is a few KB).
@@ -170,8 +173,11 @@ bool parse_host_port(const std::string& text, std::string* host,
 
 /// Re-derives level datasets and repetition splits from the sweep config,
 /// caching a bounded number of recent splits (workers receive many units
-/// for the same level/repetition in a row). Thread-safe; entries are
-/// shared_ptr so an eviction cannot invalidate a split in use.
+/// for the same level/repetition in a row). Entries are keyed by
+/// (sweep_config_hash, features, repetition): units of different studies
+/// share a worker, and two configs can meet at one level and repetition.
+/// Thread-safe; entries are shared_ptr so an eviction cannot invalidate a
+/// split in use.
 class UnitDataCache {
  public:
   UnitDataCache();
@@ -210,7 +216,7 @@ int worker_main();
 /// Remote worker daemon (qhdl_worker --connect, or a test binary's
 /// --worker-connect). One thread per slot dials the supervisor, sends a
 /// `register` frame, then serves the same init/unit protocol over the
-/// socket until the connection drops or a shutdown frame arrives.
+/// socket until a shutdown frame arrives; a dropped connection is redialed.
 struct RemoteWorkerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
@@ -223,10 +229,6 @@ struct RemoteWorkerOptions {
   /// Consecutive failed dial/serve attempts per slot before the slot gives
   /// up (0 = retry forever). A served session resets the count.
   std::size_t max_reconnect_failures = 0;
-  /// false: a shutdown frame ends the slot (one supervisor run). true: the
-  /// slot reconnects after shutdown too, so one daemon can serve a sequence
-  /// of supervisors (qhdl_serve spawns a pool per study job).
-  bool persist = false;
 };
 
 /// Runs the daemon until every slot has ended. Returns 0 when all slots

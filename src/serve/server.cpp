@@ -1,10 +1,12 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -123,6 +125,12 @@ struct Server::Impl {
   mutable std::mutex stats_mutex;
   ServerStats counters;
 
+  /// The one worker pool: built by the first study job, destroyed by stop()
+  /// after the executors join; `final_pool_stats` keeps its counters.
+  mutable std::mutex pool_mutex;
+  std::unique_ptr<search::WorkerPool> pool;
+  search::WorkerPoolStats final_pool_stats;
+
   explicit Impl(ServerConfig config)
       : cfg(std::move(config)), cache(cfg.cache_dir, cfg.cache_capacity) {}
 
@@ -140,8 +148,35 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(stats_mutex);
       stats = counters;
     }
+    {
+      std::lock_guard<std::mutex> lock(pool_mutex);
+      const search::WorkerPoolStats p =
+          pool != nullptr ? pool->stats() : final_pool_stats;
+      stats.pool_restarts = p.restarts;
+      stats.pool_retried_units = p.retried_units;
+      stats.pool_quarantined_units = p.quarantined_units;
+      stats.pool_steals = p.steals;
+    }
     stats.cache = cache.stats();
     return stats;
+  }
+
+  /// The shared pool, built on first use; null when studies run in-process.
+  /// A remote fleet needs no local subprocess support: the pool's fallback
+  /// chain (remote -> local workers -> in-process) covers that.
+  search::WorkerPool* worker_pool() {
+    if (cfg.pool.remote_workers == 0 &&
+        (cfg.pool_workers == 0 || !util::subprocess_supported())) {
+      return nullptr;
+    }
+    std::lock_guard<std::mutex> lock(pool_mutex);
+    if (pool == nullptr) {
+      search::WorkerPoolConfig pool_cfg = cfg.pool;
+      if (cfg.pool_workers > 0) pool_cfg.workers = cfg.pool_workers;
+      pool_cfg.workers *= std::max<std::size_t>(1, cfg.executors);
+      pool = std::make_unique<search::WorkerPool>(pool_cfg);
+    }
+    return pool.get();
   }
 
   // --- accept / connection side -------------------------------------------
@@ -412,18 +447,6 @@ struct Server::Impl {
 
     auto checkpoint = cache.checkpoint_for(config);
 
-    std::unique_ptr<search::WorkerPool> pool;
-    // Remote fleets don't need local subprocess support: the pool's own
-    // fallback chain (remote -> local workers -> in-process) handles the
-    // degenerate cases.
-    const bool want_pool = cfg.pool_workers > 0 || cfg.pool.remote_workers > 0;
-    if (want_pool &&
-        (cfg.pool.remote_workers > 0 || util::subprocess_supported())) {
-      search::WorkerPoolConfig pool_cfg = cfg.pool;
-      if (cfg.pool_workers > 0) pool_cfg.workers = cfg.pool_workers;
-      pool = std::make_unique<search::WorkerPool>(config, pool_cfg);
-    }
-
     // Progress streaming: fires from concurrent level threads after each
     // committed unit window; frames queue on the job (bounded, oldest
     // dropped) and the connection thread drains them to the socket.
@@ -456,17 +479,8 @@ struct Server::Impl {
     // checkpoint, so its own counters would mix their lookups.
     search::ReplayTally tally;
     const search::SweepResult sweep = search::run_complexity_sweep(
-        family, config, checkpoint.get(), pool.get(), &job.cancel,
+        family, config, checkpoint.get(), worker_pool(), &job.cancel,
         progress_fn ? &progress_fn : nullptr, &tally);
-    if (pool != nullptr) {
-      const search::WorkerPoolStats pool_stats = pool->stats();
-      bump([&pool_stats](ServerStats& s) {
-        s.pool_restarts += pool_stats.restarts;
-        s.pool_retried_units += pool_stats.retried_units;
-        s.pool_quarantined_units += pool_stats.quarantined_units;
-        s.pool_steals += pool_stats.steals;
-      });
-    }
     checkpoint->flush();
 
     util::Json reply = util::Json::object();
@@ -596,6 +610,14 @@ void Server::stop() {
     if (t.joinable()) t.join();
   }
   impl_->executors.clear();
+  // No job can reach the pool now: stop its workers.
+  {
+    std::lock_guard<std::mutex> lock(impl_->pool_mutex);
+    if (impl_->pool != nullptr) {
+      impl_->final_pool_stats = impl_->pool->stats();
+      impl_->pool.reset();
+    }
+  }
   // Every job future is resolved now, so connection threads are writing
   // their replies and exiting.
   std::vector<Impl::Conn> connections;

@@ -16,9 +16,9 @@
 //   * Graceful drain — request_drain() (wired to SIGTERM in qhdl_serve)
 //     stops accepting, lets in-flight jobs finish, rejects queued-but-
 //     unstarted ones with reason "draining", and flushes the result cache.
-//   * Worker-crash tolerance — study jobs with `pool_workers > 0` run on a
-//     PR-5 WorkerPool (kill/respawn, retry, quarantine, backoff); pool
-//     stats aggregate into the server's.
+//   * Worker-crash tolerance — with `pool_workers > 0` study jobs share
+//     one server-lifetime WorkerPool (kill/respawn, retry, quarantine,
+//     backoff); its counters are the server's pool_* stats.
 //
 // Results are memoized in a content-addressed ResultCache keyed by the
 // sweep-config hash: a repeated study replays its units byte-identically,
@@ -52,14 +52,13 @@ struct ServerConfig {
   /// Result cache: spill directory ("" = memory-only) and LRU capacity.
   std::string cache_dir;
   std::size_t cache_capacity = 8;
-  /// Worker processes per study job (0 = in-process execution). Knobs for
-  /// the spawned pools (deadlines, retries, backoff) ride in `pool`;
-  /// its `workers` field is overridden by pool_workers when > 0.
-  /// `pool.remote_workers > 0` makes each study job's pool listen on
-  /// `pool.listen_port` for qhdl_worker daemons (which should run with
-  /// --persist, since each job binds the port afresh); with concurrent
-  /// executors only one job holds the port at a time and the others fall
-  /// back to local workers.
+  /// Worker processes per executor (0 = in-process execution), in one
+  /// WorkerPool of executors x pool_workers slots that the first study job
+  /// builds and stop() destroys: a server that has run no study has no
+  /// children. Pool knobs ride in `pool`, whose `workers` is replaced by
+  /// pool_workers when > 0; `pool.remote_workers > 0` makes the pool listen
+  /// once, on pool.listen_host:listen_port, for qhdl_worker daemons. A pool
+  /// that degrades to in-process execution stays degraded.
   std::size_t pool_workers = 0;
   search::WorkerPoolConfig pool;
 };
@@ -78,7 +77,7 @@ struct ServerStats {
   std::size_t protocol_errors = 0;
   std::size_t read_timeouts = 0;
   std::size_t progress_frames = 0;  ///< streaming progress frames written
-  // Aggregated over every per-job worker pool this server has run.
+  // The server's worker pool counters (0 until a study job builds it).
   std::size_t pool_restarts = 0;
   std::size_t pool_retried_units = 0;
   std::size_t pool_quarantined_units = 0;
@@ -109,7 +108,8 @@ class Server {
   void request_drain();
 
   /// Full graceful shutdown: request_drain(), join all threads (in-flight
-  /// jobs finish first), flush the result cache. Idempotent.
+  /// jobs finish first), stop the worker pool's workers, flush the result
+  /// cache. Idempotent.
   void stop();
 
   ServerStats stats() const;

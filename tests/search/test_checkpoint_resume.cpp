@@ -15,6 +15,7 @@
 #include "search/checkpoint.hpp"
 #include "search/experiment.hpp"
 #include "search/results.hpp"
+#include "test_helpers.hpp"
 #include "util/fault_injection.hpp"
 
 namespace qhdl::search {
@@ -161,6 +162,16 @@ TEST_F(CheckpointResumeTest, ConfigHashSeparatesProtocols) {
   changed = base;
   changed.feature_sizes.push_back(12);
   EXPECT_NE(sweep_config_hash(changed), hash);
+
+  // Every result-affecting field, one at a time: the hash keys the result
+  // cache and the workers' split cache, so a field it missed would let two
+  // protocols share results.
+  for (const testing::ConfigPerturbation& perturbation :
+       testing::result_affecting_perturbations()) {
+    changed = base;
+    perturbation.apply(changed);
+    EXPECT_NE(sweep_config_hash(changed), hash) << perturbation.field;
+  }
 
   // Threads/lookahead are excluded by the determinism guarantee: a resume
   // may legitimately use a different parallelism than the original run.

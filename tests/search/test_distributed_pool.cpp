@@ -177,7 +177,7 @@ TEST(DistributedPoolGolden, TwoDaemonSweepMatchesInProcessBytes) {
   const SweepConfig config = sweep_config();
   const std::string baseline = sweep_bytes(config, nullptr);
 
-  WorkerPool pool{config, distributed_config(4)};
+  WorkerPool pool{distributed_config(4)};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   ASSERT_NE(pool.listen_port(), 0);
   util::Subprocess daemon_a = spawn_daemon(pool.listen_port(), 2);
@@ -200,7 +200,7 @@ TEST(DistributedPoolGolden, DaemonCrashMidRunIsRedispatchedIdentically) {
   // i.e. every slot, with it); daemon B absorbs the orphaned work. The
   // re-dispatch must not charge a retry attempt — transport loss is not
   // evidence against the unit.
-  WorkerPool pool{config, distributed_config(2)};
+  WorkerPool pool{distributed_config(2)};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   util::Subprocess daemon_a = spawn_daemon(
       pool.listen_port(), 1, {"QHDL_FAULT_SPEC=worker=crash@2"});
@@ -221,7 +221,7 @@ TEST(DistributedPoolGolden, SigkilledDaemonMidRunMatchesBytes) {
   const SweepConfig config = sweep_config(/*max_candidates=*/6);
   const std::string baseline = sweep_bytes(config, nullptr);
 
-  WorkerPool pool{config, distributed_config(2)};
+  WorkerPool pool{distributed_config(2)};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   util::Subprocess daemon_a = spawn_daemon(pool.listen_port(), 1);
   util::Subprocess daemon_b = spawn_daemon(pool.listen_port(), 1);
@@ -252,7 +252,7 @@ TEST(DistributedPoolFallback, NoDaemonsFallsBackToLocalPipesIdentically) {
   WorkerPoolConfig pool_config = distributed_config(2);
   pool_config.handshake_timeout_ms = 300;
   pool_config.workers = 2;  // the local fallback width
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   // Nothing ever connects: after the handshake deadline the pool must
   // spawn local pipe workers and produce the same bytes.
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
@@ -272,7 +272,7 @@ TEST(DistributedPoolFallback, SlowHandshakeIsRejectedThenFallsBackLocal) {
   WorkerPoolConfig pool_config = distributed_config(1);
   pool_config.handshake_timeout_ms = 400;
   pool_config.workers = 2;
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   util::Subprocess daemon = spawn_daemon(pool.listen_port(), 1);
 
   const std::string bytes = sweep_bytes(config, &pool);
@@ -296,7 +296,7 @@ TEST(DistributedPoolFaults, ResetMidUnitIsRedispatchedAndHeals) {
   const SweepConfig config = sweep_config(/*max_candidates=*/6);
   const std::string baseline = sweep_bytes(config, nullptr);
 
-  WorkerPool pool{config, distributed_config(2)};
+  WorkerPool pool{distributed_config(2)};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   util::Subprocess daemon_a = spawn_daemon(pool.listen_port(), 1);
   util::Subprocess daemon_b = spawn_daemon(pool.listen_port(), 1);
@@ -328,7 +328,7 @@ TEST(DistributedPoolFaults, PartitionIsReapedByHeartbeatAndRedispatched) {
   WorkerPoolConfig pool_config = distributed_config(2);
   pool_config.heartbeat_interval_ms = 100;
   pool_config.heartbeat_timeout_ms = 800;
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   util::Subprocess daemon_a = spawn_daemon(pool.listen_port(), 1);
   util::Subprocess daemon_b = spawn_daemon(pool.listen_port(), 1);
@@ -349,7 +349,7 @@ TEST(DistributedPoolFaults, RefusedConnectRetriesWithBackoffAndRegisters) {
   const SweepConfig config = sweep_config();
   const std::string baseline = sweep_bytes(config, nullptr);
 
-  WorkerPool pool{config, distributed_config(1)};
+  WorkerPool pool{distributed_config(1)};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   // The daemon's own injector refuses its first outbound connect; the
   // jittered backoff must retry and the second attempt registers.
@@ -377,7 +377,7 @@ TEST(DistributedPoolStealing, IdleWorkerDuplicatesStragglerFirstResultWins) {
   pool_config.steal_after_ms = 300;
   pool_config.heartbeat_timeout_ms = 20000;  // stealing must win the race
   pool_config.unit_timeout_ms = 15000;       // eventually reaps the wedge
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   util::Subprocess daemon_a = spawn_daemon(
       pool.listen_port(), 1, {"QHDL_FAULT_SPEC=worker=hang@1"});
@@ -418,7 +418,7 @@ TEST(DistFaultMatrix, DistributedSweepSurvivesConfiguredConnFault) {
   pool_config.handshake_timeout_ms = slow ? 500 : 5000;
   pool_config.heartbeat_interval_ms = 100;
   pool_config.heartbeat_timeout_ms = 1500;  // bounds injected partitions
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
 
   // refuse is a client-side (daemon) fault; everything else is injected in

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -101,6 +102,39 @@ TEST(WorkerProtocol, SweepConfigRoundTripsEveryResultAffectingField) {
   EXPECT_EQ(sweep_config_hash(back), sweep_config_hash(config));
   EXPECT_EQ(back.search.seed, config.search.seed);
   EXPECT_EQ(back.dataset_seed, config.dataset_seed);
+}
+
+bool same_split(const data::TrainValSplit& x, const data::TrainValSplit& y) {
+  const auto same = [](const data::Dataset& p, const data::Dataset& q) {
+    return p.y == q.y && std::ranges::equal(p.x.data(), q.x.data());
+  };
+  return same(x.train, y.train) && same(x.val, y.val);
+}
+
+// One worker serves units of many studies. Two configs that differ only in
+// search.seed split the same level dataset differently at the same
+// (features, repetition); the cache must hand each config its own split,
+// the one a fresh derivation gives.
+TEST(WorkerProtocol, SplitCacheSeparatesConfigsAtOneLevelAndRepetition) {
+  SweepConfig a = sweep_config();
+  SweepConfig b = a;
+  b.search.seed = a.search.seed + 1;
+  const std::size_t features = a.feature_sizes.at(0);
+  UnitDataCache cache;
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass reads the cache
+    for (const SweepConfig* config : {&a, &b}) {
+      for (const std::size_t repetition : {0u, 1u}) {
+        UnitDataCache fresh;
+        EXPECT_TRUE(
+            same_split(*cache.split_for(*config, features, repetition),
+                       *fresh.split_for(*config, features, repetition)))
+            << "seed " << config->search.seed << ", repetition "
+            << repetition << ", pass " << pass;
+      }
+    }
+  }
+  EXPECT_FALSE(same_split(*cache.split_for(a, features, 0),
+                          *cache.split_for(b, features, 0)));
 }
 
 TEST(WorkerProtocol, RngRoundTripResumesExactSequence) {
@@ -281,7 +315,7 @@ TEST(WorkerPoolGolden, MultiProcessSweepMatchesInProcessBytes) {
 
   WorkerPoolConfig pool_config;
   pool_config.workers = 4;
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
   const WorkerPoolStats stats = pool.stats();
@@ -301,7 +335,7 @@ TEST(WorkerPool, DestructionWakesDispatcher) {
   WorkerPoolConfig pool_config;
   pool_config.workers = 1;
   for (int round = 0; round < 5; ++round) {
-    auto pool = std::make_unique<WorkerPool>(config, pool_config);
+    auto pool = std::make_unique<WorkerPool>(pool_config);
     ASSERT_FALSE(pool->degraded()) << pool->degraded_reason();
     WorkUnit unit;
     unit.key = UnitKey{"classical", 4, 0, 0};
@@ -310,7 +344,7 @@ TEST(WorkerPool, DestructionWakesDispatcher) {
     for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
       unit.streams.push_back(rng.split());
     }
-    ASSERT_EQ(pool->evaluate({unit}).size(), 1u);
+    ASSERT_EQ(pool->evaluate(config, {unit}).size(), 1u);
 
     const auto start = std::chrono::steady_clock::now();
     pool.reset();
@@ -334,7 +368,7 @@ TEST(WorkerPool, InterruptFailsPendingUnitsAndStopsWorkers) {
   WorkerPoolConfig pool_config;
   pool_config.workers = 1;
   pool_config.worker_env = {"QHDL_FAULT_SPEC=worker=hang@1"};
-  auto pool = std::make_unique<WorkerPool>(config, pool_config);
+  auto pool = std::make_unique<WorkerPool>(pool_config);
   ASSERT_FALSE(pool->degraded()) << pool->degraded_reason();
 
   std::vector<WorkUnit> units;
@@ -353,7 +387,7 @@ TEST(WorkerPool, InterruptFailsPendingUnitsAndStopsWorkers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     util::request_interrupt();
   }};
-  EXPECT_THROW(pool->evaluate(std::move(units)), util::Interrupted);
+  EXPECT_THROW(pool->evaluate(config, std::move(units)), util::Interrupted);
   interrupter.join();
 
   const auto start = std::chrono::steady_clock::now();
@@ -373,7 +407,7 @@ std::string faulted_sweep_bytes(const SweepConfig& config,
                                 WorkerPoolConfig pool_config,
                                 WorkerPoolStats* stats_out = nullptr) {
   pool_config.worker_env = {"QHDL_FAULT_SPEC=" + fault_spec};
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   EXPECT_FALSE(pool.degraded()) << pool.degraded_reason();
   const std::string bytes = sweep_bytes(config, &pool);
   if (stats_out != nullptr) *stats_out = pool.stats();
@@ -469,7 +503,7 @@ TEST(WorkerPoolFaults, ExhaustedRetriesQuarantineUnitsAndSweepCompletes) {
   pool_config.unit_retries = 1;
   pool_config.backoff_initial_ms = 50;
   pool_config.worker_env = {"QHDL_FAULT_SPEC=worker=crash@1+"};
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
 
   const SweepResult sweep =
@@ -506,7 +540,7 @@ TEST(WorkerPoolDegraded, UnspawnableWorkersFallBackToInProcessIdentically) {
   pool_config.workers = 2;
   pool_config.worker_command = {"/nonexistent/qhdl-no-such-worker",
                                 "--worker-mode"};
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   EXPECT_TRUE(pool.degraded());
   EXPECT_FALSE(pool.degraded_reason().empty());
   // Degraded execution is the same arithmetic on the same shipped streams.
@@ -537,7 +571,7 @@ TEST(WorkerFaultMatrix, PooledSweepSurvivesConfiguredWorkerFault) {
   pool_config.workers = 2;
   pool_config.unit_timeout_ms = 2000;  // bounds injected hangs
   pool_config.backoff_initial_ms = 50;
-  WorkerPool pool{config, pool_config};
+  WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   const std::string faulted = sweep_bytes(config, &pool);
   const WorkerPoolStats stats = pool.stats();

@@ -7,6 +7,7 @@
 
 #include "core/config.hpp"
 #include "search/worker_protocol.hpp"
+#include "test_helpers.hpp"
 
 namespace qhdl::serve {
 namespace {
@@ -61,6 +62,29 @@ TEST(ServeProtocol, StudyRequestRoundTripsTheConfig) {
   const search::SweepConfig back =
       search::sweep_config_from_json(request.at("config"));
   EXPECT_EQ(search::sweep_config_hash(back), search::sweep_config_hash(config));
+
+  // Field by field: the hash separates every result-affecting field
+  // (CheckpointResumeTest.ConfigHashSeparatesProtocols), so an equal hash
+  // after the round trip means each non-default value arrived. Workers get
+  // their config the same way, inside every unit frame.
+  for (const testing::ConfigPerturbation& perturbation :
+       testing::result_affecting_perturbations()) {
+    search::SweepConfig changed = config;
+    perturbation.apply(changed);
+    const search::SweepConfig changed_back = search::sweep_config_from_json(
+        make_study_request(search::Family::Classical, changed).at("config"));
+    EXPECT_EQ(search::sweep_config_hash(changed_back),
+              search::sweep_config_hash(changed))
+        << perturbation.field;
+  }
+  // threads and lookahead leave the hash alone but still cross the wire.
+  search::SweepConfig parallel = config;
+  parallel.search.threads = 7;
+  parallel.search.lookahead = 3;
+  const search::SweepConfig parallel_back = search::sweep_config_from_json(
+      make_study_request(search::Family::Classical, parallel).at("config"));
+  EXPECT_EQ(parallel_back.search.threads, 7u);
+  EXPECT_EQ(parallel_back.search.lookahead, 3u);
 }
 
 }  // namespace

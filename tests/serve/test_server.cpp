@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,6 +271,105 @@ TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {
       round_trip("127.0.0.1", server.port(), request, 120000);
   ASSERT_EQ(reply.at("type").as_string(), "result");
   EXPECT_EQ(reply.at("sweep").dump(2), direct.at("sweep").dump(2));
+}
+
+std::string in_process_bytes(const search::SweepConfig& config) {
+  return search::sweep_to_json(
+             search::run_complexity_sweep(search::Family::Classical, config))
+      .dump(2);
+}
+
+// The server's pool outlives its study jobs: the worker that trained the
+// first study's unit also gets the second study's, which is that process's
+// second unit and crashes it (worker=crash@2). One respawn and one retry
+// absorb the crash, and both replies keep the in-process bytes. A pool per
+// job would give each study a fresh worker that sees one unit: no crash.
+TEST_F(ServeServerTest, PoolWorkersOutliveStudyJobs) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  ServerConfig config;
+  config.executors = 1;
+  config.pool_workers = 1;
+  config.pool.worker_env = {"QHDL_FAULT_SPEC=worker=crash@2"};
+  config.pool.backoff_initial_ms = 50;
+  Server server{config};
+  server.start();
+  for (const std::uint64_t seed : {11u, 12u}) {
+    search::SweepConfig study = tiny_study();
+    study.search.max_candidates = 1;
+    study.search.seed = seed;
+    const util::Json reply = round_trip(
+        "127.0.0.1", server.port(),
+        make_study_request(search::Family::Classical, study), 120000);
+    ASSERT_EQ(reply.at("type").as_string(), "result") << reply.dump();
+    EXPECT_EQ(reply.at("sweep").dump(2), in_process_bytes(study)) << seed;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.pool_restarts, 1u);
+  EXPECT_EQ(stats.pool_retried_units, 1u);
+  EXPECT_EQ(stats.pool_quarantined_units, 0u);
+}
+
+// Remote daemons dial the server's pool once and serve every study job
+// until the server stops: two concurrent studies with different configs
+// share a two-daemon fleet, and each daemon exits 0 on the shutdown frame
+// that stop() sends.
+TEST_F(ServeServerTest, TwoDaemonFleetServesConcurrentStudies) {
+  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  // The pool binds on the first study; daemons started before that keep
+  // redialing a port they know, as they would against qhdl_serve --listen.
+  std::uint16_t worker_port = 0;
+  {
+    util::ListenSocket probe = util::ListenSocket::listen_tcp("127.0.0.1", 0);
+    worker_port = probe.port();
+  }
+  ServerConfig config;
+  config.executors = 2;
+  config.pool.remote_workers = 2;
+  config.pool.listen_port = worker_port;
+  config.pool.handshake_timeout_ms = 30000;  // no local fallback
+  Server server{config};
+  server.start();
+  std::vector<util::Subprocess> daemons;
+  for (int i = 0; i < 2; ++i) {
+    daemons.push_back(util::Subprocess::spawn(
+        {util::current_executable_path(), "--worker-connect",
+         "127.0.0.1:" + std::to_string(worker_port), "--worker-slots", "1"},
+        {"QHDL_FAULT_SPEC="}));
+  }
+
+  std::vector<search::SweepConfig> studies(2, tiny_study());
+  studies[1].search.seed += 1;
+  std::vector<util::Json> replies(studies.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < studies.size(); ++i) {
+    clients.emplace_back([&, i] {
+      replies[i] = round_trip(
+          "127.0.0.1", server.port(),
+          make_study_request(search::Family::Classical, studies[i]), 120000);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (std::size_t i = 0; i < studies.size(); ++i) {
+    ASSERT_EQ(replies[i].at("type").as_string(), "result")
+        << replies[i].dump();
+    EXPECT_EQ(replies[i].at("sweep").dump(2), in_process_bytes(studies[i]))
+        << "study " << i;
+  }
+  for (util::Subprocess& daemon : daemons) {
+    EXPECT_FALSE(daemon.try_wait().has_value()) << "daemon left early";
+  }
+
+  server.stop();
+  for (util::Subprocess& daemon : daemons) {
+    const util::Deadline deadline = util::Deadline::after_ms(10000);
+    std::optional<util::ExitStatus> status;
+    while (!(status = daemon.try_wait()).has_value() && !deadline.expired()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ASSERT_TRUE(status.has_value()) << "daemon still running after stop()";
+    EXPECT_TRUE(status->exited && status->exit_code == 0)
+        << status->to_string();
+  }
 }
 
 TEST_F(ServeServerTest, StudyWithProgressStreamsFramesBeforeTheReply) {

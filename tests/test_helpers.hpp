@@ -18,6 +18,7 @@
 #include "nn/module.hpp"
 #include "quantum/circuit.hpp"
 #include "quantum/observable.hpp"
+#include "search/experiment.hpp"
 #include "util/backend_registry.hpp"
 #include "util/rng.hpp"
 
@@ -175,5 +176,17 @@ double module_input_gradient_error(nn::Module& module,
 double module_parameter_gradient_error(nn::Module& module,
                                        const tensor::Tensor& input,
                                        util::Rng& rng, double eps = 1e-6);
+
+/// One change to one result-affecting field of a SweepConfig (nested
+/// SpiralConfig, SearchConfig, TrainConfig and CostModel included).
+struct ConfigPerturbation {
+  std::string field;
+  std::function<void(search::SweepConfig&)> apply;
+};
+
+/// A perturbation for every field that can change a sweep's result: the
+/// fields sweep_config_hash must separate and the config codec must carry.
+/// threads and lookahead are not listed (results are invariant in them).
+std::vector<ConfigPerturbation> result_affecting_perturbations();
 
 }  // namespace qhdl::testing

@@ -5,17 +5,50 @@
 // util::current_executable_path()) or as a remote qhdl_worker daemon for
 // the distributed-pool tests. This is what lets those tests spawn real
 // supervised OS processes without a separate worker binary.
+// --interrupt-probe runs the signal-delivery checks of the Interrupt.*
+// tests in a freshly exec'd process.
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "search/worker_protocol.hpp"
+#include "util/interrupt.hpp"
+
+namespace {
+
+/// Raises two signals at a process with the interrupt handler installed.
+/// "sigint-twice" must end in the handler's _exit(130) (returns 1 if the
+/// first SIGINT did not set the flag, 2 if the second did not escalate);
+/// "sigterm-twice" returns 42 when both SIGTERMs stayed cooperative.
+int interrupt_probe(const std::string& mode) {
+  qhdl::util::install_interrupt_handler();
+  if (mode == "sigint-twice") {
+    std::raise(SIGINT);
+    if (!qhdl::util::interrupt_requested()) return 1;
+    std::raise(SIGINT);
+    return 2;
+  }
+  if (mode == "sigterm-twice") {
+    std::raise(SIGTERM);
+    std::raise(SIGTERM);
+    return qhdl::util::interrupt_requested() ? 42 : 1;
+  }
+  std::fprintf(stderr, "--interrupt-probe: unknown mode %s\n", mode.c_str());
+  return 3;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--interrupt-probe") == 0 && i + 1 < argc) {
+      return interrupt_probe(argv[i + 1]);
+    }
     if (std::strcmp(argv[i], "--worker-mode") == 0) {
       return qhdl::search::worker_main();
     }
@@ -37,8 +70,6 @@ int main(int argc, char** argv) {
                    j + 1 < argc) {
           options.max_reconnect_failures =
               static_cast<std::size_t>(std::atoi(argv[j + 1]));
-        } else if (std::strcmp(argv[j], "--worker-persist") == 0) {
-          options.persist = true;
         }
       }
       if (options.slots == 0) options.slots = 1;

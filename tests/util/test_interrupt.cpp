@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
+#include "util/subprocess.hpp"
 
 namespace qhdl::util {
 namespace {
@@ -22,45 +18,34 @@ TEST(Interrupt, CooperativeFlagRoundTrip) {
   EXPECT_FALSE(interrupt_requested());
 }
 
-#if defined(__unix__) || defined(__APPLE__)
+// Signal-delivery semantics need a process of their own. The child is a
+// fresh exec of this binary (tests/test_main.cpp runs --interrupt-probe),
+// not a bare fork: ThreadSanitizer stops intercepting in a child forked
+// from a multithreaded parent, so there raise() is not delivered
+// synchronously and a signal can stay pending until the child exits.
+ExitStatus run_interrupt_probe(const char* mode) {
+  return Subprocess::spawn(
+             {current_executable_path(), "--interrupt-probe", mode})
+      .wait();
+}
 
-// Signal-delivery semantics need a process of their own: the first SIGINT
-// must only set the flag, the second must force an immediate exit with
-// status 130 even if the cooperative path is wedged.
+// The first SIGINT must only set the flag, the second must force an
+// immediate exit with status 130 even if the cooperative path is wedged.
 TEST(Interrupt, SecondSigintForcesExit130) {
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    install_interrupt_handler();
-    ::raise(SIGINT);
-    if (!interrupt_requested()) ::_exit(1);  // first signal: flag only
-    ::raise(SIGINT);                          // second signal: _exit(130)
-    ::_exit(2);                               // must be unreachable
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 130);
+  if (!subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  const ExitStatus status = run_interrupt_probe("sigint-twice");
+  ASSERT_TRUE(status.exited) << status.to_string();
+  EXPECT_EQ(status.exit_code, 130);
 }
 
 TEST(Interrupt, RepeatedSigtermStaysCooperative) {
   // Only a second SIGINT escalates; schedulers often send several SIGTERMs
   // and those must keep honoring the save-and-exit path.
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    install_interrupt_handler();
-    ::raise(SIGTERM);
-    ::raise(SIGTERM);
-    ::_exit(interrupt_requested() ? 42 : 1);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 42);
+  if (!subprocess_supported()) GTEST_SKIP() << "no subprocess support";
+  const ExitStatus status = run_interrupt_probe("sigterm-twice");
+  ASSERT_TRUE(status.exited) << status.to_string();
+  EXPECT_EQ(status.exit_code, 42);
 }
-
-#endif
 
 }  // namespace
 }  // namespace qhdl::util

@@ -9,6 +9,10 @@
 // graceful drain: in-flight jobs finish, queued and new work is rejected,
 // the cache is flushed, and the process exits 0. A second SIGINT escalates
 // to immediate exit 130, mirroring the study drivers.
+//
+// With --workers N, studies share executors x N worker processes in one
+// pool that the first study starts and the server keeps; --listen
+// host:port --workers-remote M adds qhdl_worker daemons to it.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -17,7 +21,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "search/worker_protocol.hpp"
+#include "search/worker_pool.hpp"
 #include "serve/server.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cli.hpp"
@@ -47,7 +51,8 @@ void handle_signal(int sig) {
 
 int main(int argc, char** argv) {
   using namespace qhdl;
-  // Per-job worker pools re-exec this binary; dispatch before CLI parsing.
+  // The server's worker pool re-execs this binary; dispatch before CLI
+  // parsing.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--worker-mode") == 0) {
       return search::worker_main();
@@ -74,30 +79,10 @@ int main(int argc, char** argv) {
   cli.add_string("cache-dir", "",
                  "Result-cache spill directory (empty = memory-only)");
   cli.add_int("cache-capacity", 8, "In-memory result-cache entries (LRU)");
-  cli.add_int("workers", 0,
-              "Crash-isolated worker processes per study job "
-              "(0 = in-process execution)");
-  cli.add_double("unit-timeout", 0.0,
-                 "Wall-clock budget per candidate evaluation in seconds "
-                 "when using --workers (0 = no deadline)");
-  cli.add_int("worker-retries", 2,
-              "Failed attempts allowed per unit beyond the first before "
-              "quarantine (with --workers)");
-  cli.add_int("workers-listen", 0,
-              "Fixed port for remote qhdl_worker daemons (requires "
-              "--workers-remote; daemons should use --persist since each "
-              "study job runs its own pool). With --executors > 1 only one "
-              "job can bind the port at a time; the others fall back to "
-              "local workers");
-  cli.add_int("workers-remote", 0,
-              "Expected remote worker registrations per study job; falls "
-              "back to local --workers (or 2) if none arrive within "
-              "--handshake-timeout");
-  cli.add_double("handshake-timeout", 5.0,
-                 "Remote registration deadline in seconds");
-  cli.add_double("steal-after", 0.0,
-                 "Duplicate a straggling unit onto an idle worker after "
-                 "this many seconds in flight (0 = off)");
+  search::add_worker_pool_options(
+      cli,
+      "Crash-isolated worker processes per executor, in one pool that "
+      "lives as long as the server (0 = in-process execution)");
   cli.add_flag("quiet", "Suppress progress logging");
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -118,26 +103,9 @@ int main(int argc, char** argv) {
     config.cache_capacity =
         static_cast<std::size_t>(cli.get_int("cache-capacity"));
     config.pool_workers = static_cast<std::size_t>(cli.get_int("workers"));
-    config.pool.unit_timeout_ms =
-        static_cast<std::uint64_t>(cli.get_double("unit-timeout") * 1000.0);
-    config.pool.unit_retries =
-        static_cast<std::size_t>(cli.get_int("worker-retries"));
-    if (cli.get_int("workers-remote") > 0) {
-      if (cli.get_int("workers-listen") <= 0 ||
-          cli.get_int("workers-listen") > 65535) {
-        throw std::runtime_error(
-            "--workers-remote needs --workers-listen <port>: per-job pools "
-            "must rebind a port the daemons know");
-      }
-      config.pool.remote_workers =
-          static_cast<std::size_t>(cli.get_int("workers-remote"));
-      config.pool.listen_port =
-          static_cast<std::uint16_t>(cli.get_int("workers-listen"));
-      config.pool.handshake_timeout_ms = static_cast<std::uint64_t>(
-          cli.get_double("handshake-timeout") * 1000.0);
+    if (const auto pool = search::worker_pool_config_from_cli(cli)) {
+      config.pool = *pool;
     }
-    config.pool.steal_after_ms =
-        static_cast<std::uint64_t>(cli.get_double("steal-after") * 1000.0);
 
     serve::Server server{std::move(config)};
     server.start();

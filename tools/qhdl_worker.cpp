@@ -9,10 +9,13 @@
 // with seeded, jittered exponential backoff; every reconnect is a fresh
 // registration, so the supervisor sees the slot come back on its own.
 //
-// Exit codes: 0 once every slot has received a shutdown frame (with
-// --persist a slot reconnects instead, so the daemon runs until killed), 1
-// when any slot ran out of --max-retries. A connection lost without a
-// shutdown frame is never an exit: the slot reconnects.
+// One daemon serves one supervisor: a run_study/model_search run, or a
+// qhdl_serve server for its whole life (its pool outlives every study job).
+//
+// Exit codes: 0 once every slot has received a shutdown frame (the
+// supervisor finished or stopped), 1 when any slot ran out of
+// --max-retries. A connection lost without a shutdown frame is never an
+// exit: the slot reconnects.
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
@@ -44,10 +47,6 @@ int main(int argc, char** argv) {
   cli.add_int("max-retries", 0,
               "Consecutive connection failures per slot before giving up "
               "(0 = retry forever)");
-  cli.add_flag("persist",
-               "Stay connected across shutdown frames: after a supervisor "
-               "finishes (or qhdl_serve tears down a per-job pool), "
-               "reconnect and wait for the next one instead of exiting");
   cli.add_flag("quiet", "Suppress progress logging");
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -73,7 +72,6 @@ int main(int argc, char** argv) {
     }
     options.max_reconnect_failures = static_cast<std::size_t>(
         std::max<long>(0, cli.get_int("max-retries")));
-    options.persist = cli.flag("persist");
     return search::remote_worker_main(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qhdl_worker: error: %s\n", e.what());
