@@ -22,9 +22,8 @@ void add_protocol_options(util::Cli& cli) {
                  "Directory for cached sweeps and emitted CSV files");
   cli.add_int("seed", 42, "Search seed (dataset seeds derive from it)");
   cli.add_int("threads", 1,
-              "Concurrency for the search (candidate lookahead, per-"
-              "candidate runs, quantum batches, sweep levels); results are "
-              "identical for any value");
+              "Concurrency for the search (candidate units of every sweep "
+              "level and repetition); results are identical for any value");
 }
 
 Protocol protocol_from_cli(const util::Cli& cli) {

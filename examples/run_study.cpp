@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
   cli.add_flag("fresh", "Discard any existing checkpoint and start over");
   cli.add_flag("no-checkpoint", "Disable durable execution (no resume)");
   cli.add_int("threads", 1,
-              "Search concurrency (families, levels, candidate lookahead, "
-              "runs, quantum batches); results are thread-count independent");
+              "Search concurrency (families, and the candidate units of "
+              "every level and repetition); results are thread-count "
+              "independent");
   search::add_worker_pool_options(
       cli,
       "Crash-isolated worker processes for candidate evaluation "

@@ -208,8 +208,8 @@ std::size_t StudyCheckpoint::completed_units() const {
 
 std::string sweep_config_hash(const SweepConfig& config) {
   // Canonical field dump: every result-affecting knob, labelled so that two
-  // fields can never alias by concatenation. threads/lookahead are omitted
-  // deliberately — results are invariant in them (DESIGN.md §7), so a resume
+  // fields can never alias by concatenation. threads is omitted
+  // deliberately — results are invariant in it (DESIGN.md §7), so a resume
   // may use a different parallelism than the original run.
   std::string canon;
   canon.reserve(1024);

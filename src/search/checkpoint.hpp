@@ -10,7 +10,7 @@
 //
 // Resume correctness is exact, not approximate: the search draws every RNG
 // split in the original order whether a unit is replayed or retrained
-// (search_once), doubles round-trip the JSON encoder bit-for-bit (%.17g),
+// (the unit scheduler), doubles round-trip the JSON encoder bit-for-bit (%.17g),
 // and a config/dataset-seed hash rejects a manifest produced by a different
 // protocol. A study interrupted at an arbitrary unit boundary and resumed
 // therefore produces a StudyResult::to_json() byte-identical to an
@@ -89,8 +89,8 @@ class StudyCheckpoint {
 
 /// FNV-1a hash (hex) over every SweepConfig field that affects results —
 /// protocol counts, seeds, dataset geometry, thresholds, cost model — and
-/// none that cannot (threads, lookahead: results are invariant in them by
-/// the §7 determinism guarantee, so a resume may change them freely).
+/// none that cannot (threads: results are invariant in it by the §7
+/// determinism guarantee, so a resume may change it freely).
 std::string sweep_config_hash(const SweepConfig& config);
 
 /// Exact (bit-round-tripping) CandidateResult <-> JSON conversion used by

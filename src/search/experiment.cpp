@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "data/synthetic.hpp"
-#include "util/logging.hpp"
-#include "util/thread_pool.hpp"
+#include "search/unit_scheduler.hpp"
 
 namespace qhdl::search {
 
@@ -58,36 +57,38 @@ SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
   }
   const std::vector<ModelSpec> specs = family_search_space(family);
 
+  ResumeContext resume;
+  resume.checkpoint = checkpoint;
+  resume.family = family_name(family);
+  resume.pool = pool;
+  resume.sweep = &config;
+  resume.cancel = cancel;
+  resume.progress = progress;
+  resume.tally = tally;
+  // Every (level, repetition) is one search of one scheduler, so levels and
+  // repetitions share the lanes; each level's dataset is built when its
+  // first search opens.
+  UnitScheduler scheduler{config.search, resume};
+  for (const std::size_t features : config.feature_sizes) {
+    scheduler.add_level(SearchLevel{features, &specs, [&config, features] {
+                                      return std::make_shared<const data::Dataset>(
+                                          level_dataset(features, config));
+                                    }});
+  }
+  std::vector<SearchOutcome> outcomes = scheduler.run();
+
   SweepResult result;
   result.family = family;
-  // Levels are fully independent (each derives its dataset seed from its
-  // feature size and re-seeds its search from config.search.seed), so they
-  // parallelize with bit-identical results; slots are pre-sized and filled
-  // by index to keep the output order fixed.
-  result.levels.resize(config.feature_sizes.size());
-  util::parallel_for(
-      0, config.feature_sizes.size(), config.search.threads,
-      [&](std::size_t i) {
-        const std::size_t features = config.feature_sizes[i];
-        util::throw_if_cancelled(cancel);
-        util::log_info("sweep[" + family_name(family) +
-                       "]: features=" + std::to_string(features));
-        LevelResult level;
-        level.features = features;
-        const data::Dataset dataset = level_dataset(features, config);
-        ResumeContext resume;
-        resume.checkpoint = checkpoint;
-        resume.family = family_name(family);
-        resume.features = features;
-        resume.pool = pool;
-        resume.sweep = &config;
-        resume.cancel = cancel;
-        resume.progress = progress;
-        resume.tally = tally;
-        level.search =
-            run_repeated_search(specs, dataset, config.search, resume);
-        result.levels[i] = std::move(level);
-      });
+  auto next = outcomes.begin();
+  for (const std::size_t features : config.feature_sizes) {
+    LevelResult level;
+    level.features = features;
+    const auto end = next + static_cast<std::ptrdiff_t>(config.search.repetitions);
+    level.search = summarize_repetitions(std::vector<SearchOutcome>(
+        std::make_move_iterator(next), std::make_move_iterator(end)));
+    next = end;
+    result.levels.push_back(std::move(level));
+  }
   return result;
 }
 

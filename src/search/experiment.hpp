@@ -45,8 +45,9 @@ struct SweepResult {
 class StudyCheckpoint;
 class WorkerPool;
 
-/// Runs the full complexity sweep for one family. Levels run concurrently
-/// (config.search.threads wide, shared util::ThreadPool) with results
+/// Runs the full complexity sweep for one family. Every (level, repetition)
+/// is one search of one UnitScheduler (unit_scheduler.hpp), whose
+/// config.search.threads lanes train their candidate units with results
 /// identical to the sequential walk. When `checkpoint` is non-null, each
 /// completed candidate evaluation is recorded there and flushed atomically,
 /// and previously completed units are replayed instead of retrained — a
@@ -55,14 +56,14 @@ class WorkerPool;
 /// processes (DESIGN.md §11) — still bit-identical, because each unit ships
 /// the exact RNG streams the in-process search would consume.
 /// When `cancel` is non-null, the sweep aborts with util::Cancelled at the
-/// next unit-window boundary after the token fires (per-job cancellation
-/// for the serve layer); completed units stay in the checkpoint, so a
-/// retried job resumes instead of recomputing.
-/// When `progress` is non-null, it fires after every committed unit window
-/// (see ProgressEvent) — from concurrent level threads, so the handler must
-/// be thread-safe. The serve layer uses this for streaming progress frames.
-/// When `tally` is non-null, it counts this call's own checkpoint lookups
-/// (the serve layer's per-request cache hits).
+/// next unit dispatch after the token fires (per-job cancellation for the
+/// serve layer); completed units stay in the checkpoint, so a retried job
+/// resumes instead of recomputing.
+/// When `progress` is non-null, it fires after every committed unit (see
+/// ProgressEvent), from whichever lane commits it. The serve layer uses
+/// this for streaming progress frames.
+/// When `tally` is non-null, it counts this call's committed units,
+/// replayed vs trained (the serve layer's per-request cache hits).
 SweepResult run_complexity_sweep(Family family, const SweepConfig& config,
                                  StudyCheckpoint* checkpoint = nullptr,
                                  WorkerPool* pool = nullptr,

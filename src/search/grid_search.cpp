@@ -4,14 +4,10 @@
 #include <optional>
 #include <stdexcept>
 
-#include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
 #include "nn/fastpath.hpp"
 #include "quantum/exec_plan.hpp"
-#include "search/checkpoint.hpp"
-#include "search/worker_pool.hpp"
-#include "util/fault_injection.hpp"
-#include "util/interrupt.hpp"
+#include "search/unit_scheduler.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
@@ -51,10 +47,6 @@ std::vector<ModelSpec> sort_by_flops(std::vector<ModelSpec> specs,
   return sorted;
 }
 
-namespace {
-
-/// Pre-split run streams. Drawing all streams before any work is scheduled
-/// is what makes results independent of the execution order / thread count.
 std::vector<util::Rng> split_run_rngs(const SearchConfig& config,
                                       util::Rng& rng) {
   if (config.runs_per_model == 0) {
@@ -68,6 +60,8 @@ std::vector<util::Rng> split_run_rngs(const SearchConfig& config,
   }
   return run_rngs;
 }
+
+namespace {
 
 /// One run's quarantined outcome: a history when any attempt survived the
 /// non-finite guard, plus a record of every guard trip along the way.
@@ -87,10 +81,8 @@ util::Rng attempt_stream(const util::Rng& base, std::size_t attempt) {
   return stream;
 }
 
-/// evaluate_candidate body on already-split run streams (one per run).
-/// search_once pre-splits streams for a whole lookahead window through this
-/// path so speculative training consumes exactly the stream sequence the
-/// serial walk would.
+/// evaluate_candidate body on already-split run streams (one per run), the
+/// streams the unit scheduler draws in FLOPs order at dispatch.
 CandidateResult evaluate_candidate_with_rngs(const ModelSpec& spec,
                                              const data::TrainValSplit& split,
                                              const SearchConfig& config,
@@ -235,144 +227,9 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
                           const SearchConfig& config, util::Rng& rng,
                           const ResumeContext& resume,
                           std::size_t repetition) {
-  SearchOutcome outcome;
-  std::size_t limit = sorted_specs.size();
-  if (config.max_candidates > 0) {
-    limit = std::min(limit, config.max_candidates);
-  }
-  // Speculative lookahead: train the next `window` FLOPs-ordered candidates
-  // concurrently, then commit their results strictly in FLOPs order. The
-  // committed sequence — including where the search stops — is identical to
-  // the serial walk; candidates trained past the winner are discarded.
-  std::size_t window = std::max<std::size_t>(
-      1, config.lookahead > 0 ? config.lookahead : config.threads);
-  // With a worker pool the window is the dispatch batch; widen it so every
-  // worker process has a unit in flight. Window size never changes results
-  // (streams are drawn in FLOPs order regardless), only scheduling.
-  if (resume.pool != nullptr) {
-    if (resume.sweep == nullptr) {
-      throw std::invalid_argument("search_once: a pool needs its sweep config");
-    }
-    window = std::max(window, resume.pool->worker_count());
-  }
-
-  std::size_t next = 0;
-  while (next < limit && !outcome.winner.has_value()) {
-    util::throw_if_interrupted();
-    util::throw_if_cancelled(resume.cancel);
-    const std::size_t count = std::min(window, limit - next);
-
-    // Each candidate's run streams are split from the repetition stream in
-    // FLOPs order before any work is scheduled — the exact sequence the
-    // serial walk draws — so training is independent of both the window
-    // size and the thread count. Checkpointed candidates draw their splits
-    // too: a resumed search consumes the stream sequence of an
-    // uninterrupted one, which is what makes resume bit-identical.
-    std::vector<std::vector<util::Rng>> window_rngs;
-    window_rngs.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      window_rngs.push_back(split_run_rngs(config, rng));
-    }
-
-    // Units already in the checkpoint replay their recorded results.
-    std::vector<std::optional<CandidateResult>> replayed(count);
-    if (resume.checkpoint != nullptr) {
-      for (std::size_t i = 0; i < count; ++i) {
-        replayed[i] = resume.checkpoint->find(UnitKey{
-            resume.family, resume.features, repetition, next + i});
-        if (resume.tally != nullptr) {
-          (replayed[i].has_value() ? resume.tally->hits
-                                   : resume.tally->misses) += 1;
-        }
-      }
-    }
-
-    std::vector<CandidateResult> results(count);
-    if (resume.pool != nullptr) {
-      // Crash-isolated path: ship every fresh unit (with its pre-drawn
-      // streams) to the pool and scatter results back by window slot. The
-      // pool returns results in submission order, so the commit loop below
-      // is unchanged — and identical to the in-process path's.
-      std::vector<WorkUnit> units;
-      std::vector<std::size_t> slots;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (replayed[i].has_value()) {
-          results[i] = *replayed[i];
-          continue;
-        }
-        WorkUnit unit;
-        unit.key = UnitKey{resume.family, resume.features, repetition,
-                           next + i};
-        unit.spec = sorted_specs[next + i];
-        unit.streams = window_rngs[i];
-        units.push_back(std::move(unit));
-        slots.push_back(i);
-      }
-      std::vector<CandidateResult> pooled =
-          resume.pool->evaluate(*resume.sweep, std::move(units));
-      for (std::size_t u = 0; u < pooled.size(); ++u) {
-        results[slots[u]] = std::move(pooled[u]);
-      }
-    } else {
-      util::parallel_for(0, count, config.threads, [&](std::size_t i) {
-        if (replayed[i].has_value()) {
-          results[i] = *replayed[i];
-        } else {
-          results[i] = evaluate_candidate_with_rngs(
-              sorted_specs[next + i], split, config, window_rngs[i]);
-        }
-      });
-    }
-
-    for (std::size_t i = 0; i < count; ++i) {
-      const CandidateResult& result = results[i];
-      // Unit boundary: the injectable kill point. A crash here loses at
-      // most this window's unflushed units; the resumed search retrains
-      // them from the same streams and lands on the same bytes.
-      util::FaultInjector::instance().on_unit_boundary(
-          resume.family + "/f" + std::to_string(resume.features) + "/r" +
-          std::to_string(repetition) + "/c" + std::to_string(next + i));
-      if (resume.checkpoint != nullptr && !replayed[i].has_value()) {
-        resume.checkpoint->record(
-            UnitKey{resume.family, resume.features, repetition, next + i},
-            result);
-      }
-      util::log_info("search: " + result.spec.to_string() + " flops=" +
-                     std::to_string(result.flops) + " train_acc=" +
-                     std::to_string(result.avg_best_train_accuracy) +
-                     " val_acc=" +
-                     std::to_string(result.avg_best_val_accuracy) +
-                     (result.meets_threshold ? "  <- winner" : "") +
-                     (replayed[i].has_value() ? "  (from checkpoint)" : ""));
-      outcome.evaluated.push_back(result);
-      if (result.meets_threshold) {
-        outcome.winner = result;
-        break;
-      }
-    }
-    if (resume.checkpoint != nullptr) resume.checkpoint->flush();
-    // Progress fires only after the window is committed AND flushed: every
-    // unit a handler hears about is durable, so a consumer acting on the
-    // event (UI, serve progress frame) can never observe work a crash
-    // would take back.
-    if (resume.progress != nullptr && *resume.progress != nullptr &&
-        !outcome.evaluated.empty()) {
-      ProgressEvent event;
-      event.family = resume.family;
-      event.features = resume.features;
-      event.repetition = repetition;
-      event.units_done = outcome.evaluated.size();
-      event.total_units = limit;
-      event.last_spec = outcome.evaluated.back().spec.to_string();
-      event.last_val_accuracy =
-          outcome.evaluated.back().avg_best_val_accuracy;
-      event.winner_found = outcome.winner.has_value();
-      (*resume.progress)(event);
-    }
-    next += count;
-  }
-  outcome.candidates_trained = outcome.evaluated.size();
-  return outcome;
+  UnitScheduler scheduler{config, resume};
+  scheduler.add_search(sorted_specs, split, rng, repetition);
+  return std::move(scheduler.run().front());
 }
 
 RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
@@ -389,39 +246,14 @@ RepeatedSearchResult run_repeated_search(const std::vector<ModelSpec>& specs,
   if (specs.empty()) {
     throw std::invalid_argument("run_repeated_search: empty search space");
   }
-
-  const std::vector<ModelSpec> sorted =
-      sort_by_flops(specs, dataset.features(), dataset.classes, config);
-
-  RepeatedSearchResult result;
-  util::Rng rng{config.seed};
-  for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
-    util::throw_if_cancelled(resume.cancel);
-    util::Rng rep_rng = rng.split();
-    data::TrainValSplit split =
-        data::stratified_split(dataset, config.validation_fraction, rep_rng);
-    data::standardize_split(split);
-    result.repetitions.push_back(
-        search_once(sorted, split, config, rep_rng, resume, rep));
-  }
-
-  double flops_sum = 0.0;
-  double param_sum = 0.0;
-  for (const SearchOutcome& outcome : result.repetitions) {
-    if (!outcome.winner.has_value()) continue;
-    ++result.successful_repetitions;
-    flops_sum += outcome.winner->flops;
-    param_sum += static_cast<double>(outcome.winner->parameter_count);
-    if (!result.smallest_winner.has_value() ||
-        outcome.winner->flops < result.smallest_winner->flops) {
-      result.smallest_winner = outcome.winner;
-    }
-  }
-  if (result.successful_repetitions > 0) {
-    const double n = static_cast<double>(result.successful_repetitions);
-    result.mean_winner_flops = flops_sum / n;
-    result.mean_winner_parameters = param_sum / n;
-  }
+  UnitScheduler scheduler{config, resume};
+  scheduler.add_level(SearchLevel{
+      resume.features, &specs, [&dataset] {
+        // Lent, not copied: the caller's dataset outlives the call.
+        return std::shared_ptr<const data::Dataset>(
+            std::shared_ptr<const void>{}, &dataset);
+      }});
+  RepeatedSearchResult result = summarize_repetitions(scheduler.run());
   util::log_info(nn::fastpath::stats().to_string());
   util::log_info(quantum::plan_cache::stats().to_string());
   return result;

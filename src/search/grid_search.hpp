@@ -11,10 +11,11 @@
 //      solution. The whole procedure repeats `repetitions` times with fresh
 //      RNG streams to absorb training stochasticity.
 //
-// All parallelism (speculative candidate lookahead, per-candidate runs,
-// quantum batch rows) runs on the shared util::ThreadPool and is
-// result-invariant in the thread count: RNG streams are pre-split in a
-// fixed order and results commit in that order.
+// Every entry point below (search_once, run_repeated_search, and
+// experiment.hpp's run_complexity_sweep) runs its searches on one
+// UnitScheduler (unit_scheduler.hpp): candidate units of every (level,
+// repetition) share `threads` lanes, and results commit in FLOPs order per
+// search, so outcomes are bit-identical for any thread count.
 //
 // Classical candidates train on the zero-allocation workspace fast path
 // (nn/workspace.hpp): per-run models own their workspaces, GEMM packing
@@ -53,18 +54,13 @@ struct SearchConfig {
   /// Safety valve for bench drivers: examine at most this many candidates
   /// per repetition (0 = unlimited, the paper's setting).
   std::size_t max_candidates = 0;
-  /// Concurrency width for every parallel stage (speculative candidate
-  /// lookahead, a candidate's independent runs, quantum batch rows, sweep
-  /// levels), all dispatched on the shared util::ThreadPool. 1 = fully
-  /// sequential. Results are bit-identical for a given seed regardless of
-  /// the thread count: every RNG stream is split up front in a fixed order
-  /// and all results commit in that order.
+  /// Lanes of the unit scheduler: how many candidate units train at once,
+  /// across every level and repetition of the call (each unit at width 1).
+  /// A direct evaluate_candidate call runs its runs_per_model runs this
+  /// wide. 1 = fully sequential. Results are bit-identical for a given seed
+  /// regardless of the thread count: every RNG stream is drawn in the
+  /// serial walk's order and results commit in FLOPs order.
   std::size_t threads = 1;
-  /// Speculative candidate lookahead window for search_once: this many
-  /// FLOPs-ordered candidates train concurrently, committing strictly in
-  /// FLOPs order (candidates trained past the winner are discarded, so the
-  /// "first winner" is the serial one). 0 = auto (= threads).
-  std::size_t lookahead = 0;
   /// Graceful degradation budget: when a training run trips the non-finite
   /// guard (nn::NonFiniteError), retry it up to this many times on the next
   /// deterministic child stream before quarantining the run. Retries never
@@ -137,17 +133,18 @@ struct SweepConfig;
 /// standalone search's arbitrary dataset is not. Results remain
 /// bit-identical to in-process execution because each unit ships the
 /// pre-split run streams drawn below.
-/// When `cancel` is non-null, search_once polls it at the same unit-window
-/// boundaries where it polls the process interrupt flag, and throws
-/// util::Cancelled when the token fires — per-job cancellation for the
-/// serve layer (client disconnect, per-job deadline) without touching the
-/// process-global interrupt. Completed units are already recorded and
-/// flushed, so a retried job resumes from where cancellation landed.
-/// Live progress notification, fired by the resume-aware search_once after
-/// each unit window commits (and flushes to the checkpoint, when present).
-/// Replayed checkpoint units count toward units_done, so a resumed search
-/// reports absolute progress. Fired from whatever thread runs the level —
-/// handlers must be thread-safe when sweep levels run concurrently.
+/// When `cancel` is non-null, the scheduler polls it at every unit dispatch,
+/// where it polls the process interrupt flag, and throws util::Cancelled
+/// when the token fires — per-job cancellation for the serve layer (client
+/// disconnect, per-job deadline) without touching the process-global
+/// interrupt. Completed units are already recorded and flushed, so a
+/// retried job resumes from where cancellation landed.
+/// Live progress notification, fired once per committed unit, after the
+/// commit is flushed to the checkpoint (when present). Replayed checkpoint
+/// units count toward units_done, so a resumed search reports absolute
+/// progress. Events of one call are serialized, in commit order, but fire
+/// from whichever scheduler lane commits — handlers must be thread-safe
+/// when several calls share them.
 struct ProgressEvent {
   std::string family;          ///< "" for a standalone search
   std::size_t features = 0;    ///< complexity level
@@ -160,10 +157,9 @@ struct ProgressEvent {
 };
 using ProgressFn = std::function<void(const ProgressEvent&)>;
 
-/// One sweep's own checkpoint lookups: units replayed vs units that had to
-/// run. The checkpoint's replay counters are shared by every sweep on it;
-/// a tally counts one call's lookups only. Levels run concurrently, hence
-/// the atomics.
+/// One sweep's own committed units: replayed from the checkpoint vs
+/// trained. The checkpoint's replay counters are shared by every sweep on
+/// it; a tally counts one call's units only.
 struct ReplayTally {
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> misses{0};
@@ -188,6 +184,13 @@ std::vector<ModelSpec> sort_by_flops(std::vector<ModelSpec> specs,
                                      std::size_t classes,
                                      const SearchConfig& config);
 
+/// Draws one candidate's `runs_per_model` run streams from `rng`. Drawing
+/// them in a fixed order before any work is scheduled is what makes results
+/// independent of execution order and thread count. Throws
+/// std::invalid_argument when runs_per_model is 0.
+std::vector<util::Rng> split_run_rngs(const SearchConfig& config,
+                                      util::Rng& rng);
+
 /// Trains one candidate (`runs_per_model` runs) and reports averages.
 CandidateResult evaluate_candidate(const ModelSpec& spec,
                                    const data::TrainValSplit& split,
@@ -209,8 +212,10 @@ SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
                           const SearchConfig& config, util::Rng& rng);
 
 /// Resume-aware repetition: replays checkpointed units, records and flushes
-/// fresh ones at unit boundaries, and polls for SIGINT/SIGTERM between
-/// units (util::Interrupted). `repetition` keys the checkpoint units.
+/// fresh ones at unit boundaries, and polls for SIGINT/SIGTERM at every
+/// unit dispatch (util::Interrupted). `repetition` keys the checkpoint
+/// units. Run streams are drawn from `rng` as units are dispatched, so a
+/// speculative unit past the winner still advances it.
 SearchOutcome search_once(const std::vector<ModelSpec>& sorted_specs,
                           const data::TrainValSplit& split,
                           const SearchConfig& config, util::Rng& rng,

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -61,11 +63,11 @@ struct WorkerPool::Impl {
   static constexpr std::size_t kMaxOrphanRedispatch = 8;
 
   /// A unit somewhere between submission and resolution. `attempts` counts
-  /// failed attempts; the promise is set exactly once (result, quarantine,
+  /// failed attempts; `done` is reported exactly once (result, quarantine,
   /// or exception).
   struct PendingUnit {
     WorkUnit unit;
-    /// The shipped sweep config, shared by the units of one evaluate() call.
+    /// The shipped sweep config (search.threads = worker_threads).
     std::shared_ptr<const SweepConfig> config;
     std::string wire;  ///< the unit frame, built once at submission
     std::size_t attempts = 0;
@@ -73,7 +75,7 @@ struct WorkerPool::Impl {
     std::size_t orphanings = 0;  ///< uncharged re-dispatches (transport loss)
     std::uint64_t first_dispatch_ms = 0;  ///< straggler clock, per dispatch
     std::vector<std::string> causes;
-    std::promise<CandidateResult> promise;
+    UnitDone done;
     bool resolved = false;
   };
 
@@ -126,7 +128,6 @@ struct WorkerPool::Impl {
   std::size_t next_slot_index = 0;
   bool degraded = false;
   std::string degraded_reason;
-  bool dispatcher_running = false;
   bool interrupt_forwarded = false;
   std::size_t spawn_failure_streak = 0;
   WorkerPoolStats stat;
@@ -136,19 +137,40 @@ struct WorkerPool::Impl {
   util::WakePipe wake;
   std::thread dispatcher;
   UnitDataCache cache;  ///< degraded-mode dataset/split derivation
+  /// Degraded mode: wakes inline lanes waiting for submissions.
+  std::condition_variable inline_ready;
+  std::size_t inline_busy = 0;  ///< inline lanes training a unit
+  /// Resolutions waiting to be reported; fire_resolved() runs them with no
+  /// lock held, so a `done` callback may take its caller's own locks.
+  std::vector<std::function<void()>> resolved;
 
-  // --- promise resolution (mutex held) ------------------------------------
+  // --- resolution (mutex held) ----------------------------------------------
 
   void resolve_result(PendingUnit& unit, CandidateResult result) {
     if (unit.resolved) return;
     unit.resolved = true;
-    unit.promise.set_value(std::move(result));
+    resolved.push_back([done = std::move(unit.done),
+                        result = std::move(result)]() mutable {
+      done(std::move(result), nullptr);
+    });
   }
 
   void resolve_exception(PendingUnit& unit, std::exception_ptr error) {
     if (unit.resolved) return;
     unit.resolved = true;
-    unit.promise.set_exception(std::move(error));
+    resolved.push_back([done = std::move(unit.done), error] {
+      done(CandidateResult{}, error);
+    });
+  }
+
+  /// Reports every queued resolution. Called without the mutex.
+  void fire_resolved() {
+    std::vector<std::function<void()>> ready;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ready.swap(resolved);
+    }
+    for (const std::function<void()>& report : ready) report();
   }
 
   void requeue_front(const std::shared_ptr<PendingUnit>& unit) {
@@ -349,9 +371,9 @@ struct WorkerPool::Impl {
   // --- dispatcher phases ----------------------------------------------------
 
   /// Forwards the interrupt to live workers once and fails every pending
-  /// unit with util::Interrupted, so evaluate() unwinds to the search loop's
-  /// own interrupt poll (the checkpoint holds only committed units, hence a
-  /// resume retrains this window identically).
+  /// unit with util::Interrupted, so the unit scheduler unwinds (the
+  /// checkpoint holds only committed units, hence a resume retrains the
+  /// lost ones identically).
   void handle_interrupt_locked() {
     if (!util::interrupt_requested()) return;
     if (!interrupt_forwarded) {
@@ -765,37 +787,57 @@ struct WorkerPool::Impl {
   }
 #endif
 
-  /// In-process execution of a batch (degraded mode), same arithmetic as a
-  /// worker: evaluate_unit on the shipped streams.
-  void run_inline(std::vector<std::shared_ptr<PendingUnit>>& units) {
-    util::parallel_for(
-        0, units.size(), std::max<std::size_t>(1, cfg.workers),
-        [&](std::size_t i) {
-          std::exception_ptr error;
-          CandidateResult result;
-          try {
-            result = evaluate_unit(*units[i]->config, units[i]->unit, cache);
-          } catch (...) {
-            error = std::current_exception();
-          }
-          std::lock_guard<std::mutex> lock(mutex);
-          if (error != nullptr) {
-            resolve_exception(*units[i], error);
-          } else {
-            resolve_result(*units[i], std::move(result));
-          }
-        });
+  /// Degraded mode: `workers` in-process lanes drain the queue with a
+  /// worker's arithmetic (evaluate_unit on the shipped streams). A lane
+  /// with nothing queued waits while another is busy, since its result may
+  /// bring the next submission; the last lanes return once all are idle.
+  void run_inline() {
+    const std::size_t lanes = std::max<std::size_t>(1, cfg.workers);
+    util::parallel_for(0, lanes, lanes, [this](std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      while (!stop.load(std::memory_order_relaxed)) {
+        handle_interrupt_locked();
+        while (!queue.empty() && queue.front()->resolved) queue.pop_front();
+        if (queue.empty()) {
+          if (inline_busy == 0) break;
+          inline_ready.wait(lock);
+          continue;
+        }
+        const std::shared_ptr<PendingUnit> unit = queue.front();
+        queue.pop_front();
+        ++inline_busy;
+        lock.unlock();
+        std::exception_ptr error;
+        CandidateResult result;
+        try {
+          result = evaluate_unit(*unit->config, unit->unit, cache);
+        } catch (...) {
+          error = std::current_exception();
+        }
+        lock.lock();
+        --inline_busy;
+        if (error != nullptr) {
+          resolve_exception(*unit, error);
+        } else {
+          resolve_result(*unit, std::move(result));
+        }
+        lock.unlock();
+        fire_resolved();
+        lock.lock();
+        inline_ready.notify_all();
+      }
+      inline_ready.notify_all();
+    });
   }
 
   void dispatcher_loop() {
     while (!stop.load(std::memory_order_relaxed)) {
-      std::vector<std::shared_ptr<PendingUnit>> inline_batch;
+      bool run_degraded = false;
       {
         std::lock_guard<std::mutex> lock(mutex);
         handle_interrupt_locked();
         if (degraded) {
-          inline_batch.assign(queue.begin(), queue.end());
-          queue.clear();
+          run_degraded = !queue.empty();
         } else {
           accept_remote_locked();
           maybe_fallback_locked();
@@ -804,8 +846,9 @@ struct WorkerPool::Impl {
           steal_stragglers_locked();
         }
       }
-      if (!inline_batch.empty()) {
-        run_inline(inline_batch);
+      fire_resolved();
+      if (run_degraded) {
+        run_inline();
         continue;
       }
       wait_for_io();
@@ -817,6 +860,7 @@ struct WorkerPool::Impl {
           reap_dead_remote_locked();
         }
       }
+      fire_resolved();
     }
   }
 };
@@ -882,28 +926,32 @@ WorkerPool::WorkerPool(WorkerPoolConfig pool_config)
     if (!local_available) {
       impl_->enter_degraded(
           "subprocess spawning is unavailable on this platform");
-      return;
-    }
-    // Spawn validation happens here, synchronously: if no worker can be
-    // created (missing binary, fork failure, exec failure via the status
-    // pipe), the pool degrades before any unit is submitted. Partial
-    // failures are not fatal: the dispatcher retries them with backoff.
-    if (impl_->spawn_local_locked() == 0) {
+    } else if (impl_->spawn_local_locked() == 0) {
+      // Spawn validation happens here, synchronously: if no worker can be
+      // created (missing binary, fork failure, exec failure via the status
+      // pipe), the pool degrades before any unit is submitted. Partial
+      // failures are not fatal: the dispatcher retries them with backoff.
       impl_->enter_degraded("cannot spawn worker process (" +
                             impl_->command[0] + ")");
       impl_->slots.clear();
-      return;
+    } else {
+      util::log_info("worker pool: " + std::to_string(impl_->cfg.workers) +
+                     " worker(s), command " + impl_->command[0]);
     }
-    util::log_info("worker pool: " + std::to_string(impl_->cfg.workers) +
-                   " worker(s), command " + impl_->command[0]);
   }
-  impl_->dispatcher_running = true;
+  // A degraded pool keeps its dispatcher too: it runs the queue inline.
   impl_->dispatcher = std::thread([this] { impl_->dispatcher_loop(); });
 }
 
 WorkerPool::~WorkerPool() {
   if (impl_ == nullptr) return;
-  impl_->stop.store(true, std::memory_order_relaxed);
+  {
+    // Under the mutex, so an inline lane cannot miss the stop between its
+    // check and its wait.
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->stop.store(true, std::memory_order_relaxed);
+    impl_->inline_ready.notify_all();
+  }
   impl_->wake.notify();
   if (impl_->dispatcher.joinable()) impl_->dispatcher.join();
   {
@@ -925,50 +973,50 @@ WorkerPool::~WorkerPool() {
     impl_->stop_workers_locked();
     impl_->listener.close();
   }
+  impl_->fire_resolved();
+}
+
+void WorkerPool::submit(const SweepConfig& config, WorkUnit unit,
+                        UnitDone done) {
+  // Inside a worker the only parallelism is a unit's runs_per_model.
+  auto shipped = std::make_shared<SweepConfig>(config);
+  shipped->search.threads =
+      std::max<std::size_t>(1, impl_->cfg.worker_threads);
+  util::Json frame = util::Json::object();
+  frame["type"] = "unit";
+  frame["config"] = sweep_config_to_json(*shipped);
+  frame["unit"] = work_unit_to_json(unit);
+
+  auto pending = std::make_shared<Impl::PendingUnit>();
+  pending->wire = frame_wire(frame.dump());
+  pending->unit = std::move(unit);
+  pending->config = std::move(shipped);
+  pending->done = std::move(done);
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->queue.push_back(std::move(pending));
+    impl_->inline_ready.notify_one();
+  }
+  impl_->wake.notify();
 }
 
 std::vector<CandidateResult> WorkerPool::evaluate(
     const SweepConfig& config, std::vector<WorkUnit> units) {
   util::throw_if_interrupted();
-  if (units.empty()) return {};
-
-  // Inside a worker the only parallelism is a unit's runs_per_model.
-  auto shipped = std::make_shared<SweepConfig>(config);
-  shipped->search.threads =
-      std::max<std::size_t>(1, impl_->cfg.worker_threads);
-  shipped->search.lookahead = 0;
-  util::Json frame = util::Json::object();
-  frame["type"] = "unit";
-  frame["config"] = sweep_config_to_json(*shipped);
-
-  bool inline_now = false;
-  std::vector<std::shared_ptr<Impl::PendingUnit>> pending;
   std::vector<std::future<CandidateResult>> futures;
-  pending.reserve(units.size());
   futures.reserve(units.size());
   for (WorkUnit& unit : units) {
-    auto p = std::make_shared<Impl::PendingUnit>();
-    frame["unit"] = work_unit_to_json(unit);
-    p->wire = frame_wire(frame.dump());
-    p->unit = std::move(unit);
-    p->config = shipped;
-    futures.push_back(p->promise.get_future());
-    pending.push_back(std::move(p));
+    auto promise = std::make_shared<std::promise<CandidateResult>>();
+    futures.push_back(promise->get_future());
+    submit(config, std::move(unit),
+           [promise](CandidateResult result, std::exception_ptr error) {
+             if (error != nullptr) {
+               promise->set_exception(error);
+             } else {
+               promise->set_value(std::move(result));
+             }
+           });
   }
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    inline_now = impl_->degraded && !impl_->dispatcher_running;
-    if (!inline_now) {
-      for (const auto& p : pending) impl_->queue.push_back(p);
-    }
-  }
-  // A pool that never came up has no dispatcher; evaluate on the caller.
-  if (inline_now) {
-    impl_->run_inline(pending);
-  } else {
-    impl_->wake.notify();
-  }
-
   std::vector<CandidateResult> results;
   results.reserve(futures.size());
   for (std::future<CandidateResult>& future : futures) {

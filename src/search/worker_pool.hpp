@@ -27,20 +27,22 @@
 //     workers cannot be spawned at all, or mid-run when respawns keep
 //     failing — with the reason logged and queryable.
 //
-// The pool holds no sweep config: each evaluate() call names its units'
+// The pool holds no sweep config: each submit() names its unit's
 // config and each unit frame carries it, so one pool serves any number of
 // studies (qhdl_serve keeps one for its life).
 //
-// Determinism: the supervisor pre-splits every unit's RNG streams in FLOPs
-// order (grid_search.cpp) and ships them in the unit frame; workers
-// re-derive datasets/splits from the shipped sweep config; results merge
-// back in submission order. A multi-process sweep is therefore
+// Determinism: the supervisor draws every unit's RNG streams in FLOPs
+// order (unit_scheduler.cpp) and ships them in the unit frame; workers
+// re-derive datasets/splits from the shipped sweep config; results commit
+// in FLOPs order within each search. A multi-process sweep is therefore
 // byte-identical to an in-process one (pinned by the worker-pool golden
 // test), regardless of worker count, scheduling, crashes, or retries that
 // eventually succeed.
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,7 +88,7 @@ struct WorkerPoolConfig {
   // --- distributed mode (DESIGN.md §16) ---------------------------------
   /// Expected remote worker registrations. 0 keeps the pool purely local;
   /// > 0 makes it listen on listen_host:listen_port for qhdl_worker
-  /// daemons and widens the dispatch window to this count. Local workers
+  /// daemons and keeps this many units in flight. Local workers
   /// are only spawned as a fallback when no daemon registers (or the whole
   /// fleet is lost) within handshake_timeout_ms.
   std::size_t remote_workers = 0;
@@ -119,7 +121,7 @@ class WorkerPool {
  public:
   /// Local mode validates spawning immediately: one worker is started (then
   /// the rest) before the constructor returns. If no worker can be spawned
-  /// the pool comes up degraded — evaluate() runs in-process — with the
+  /// the pool comes up degraded — units run in-process — with the
   /// reason in degraded_reason(); construction never throws for spawn
   /// problems. Distributed mode (remote_workers > 0) binds the listener in
   /// the constructor and degrades along the chain remote -> local workers ->
@@ -136,13 +138,22 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Evaluates units of sweep `config`, blocking until all have a result
-  /// (in submission order); workers get a copy with search.threads =
-  /// worker_threads and lookahead 0, which never change a result.
-  /// Thread-safe: concurrent levels and studies share the pool, and their
-  /// units interleave on the workers. Throws util::Interrupted when a
-  /// cooperative shutdown arrives while units are pending (after sending
-  /// every live worker a shutdown frame).
+  /// Reports one submitted unit exactly once: its result, or the exception
+  /// that ended it (util::Interrupted, pool destruction). Runs on a pool
+  /// thread with no pool lock held.
+  using UnitDone =
+      std::function<void(CandidateResult result, std::exception_ptr error)>;
+
+  /// Queues one unit of sweep `config` and returns at once; `done` reports
+  /// it. Workers get a copy with search.threads = worker_threads, which
+  /// never changes a result. Thread-safe: concurrent searches and studies
+  /// share the pool, and their units interleave on the workers. When a
+  /// cooperative shutdown arrives, every pending unit is reported with
+  /// util::Interrupted (after every live worker is sent a shutdown frame).
+  void submit(const SweepConfig& config, WorkUnit unit, UnitDone done);
+
+  /// submit() for each unit, then waits: results in submission order.
+  /// Throws util::Interrupted as above.
   std::vector<CandidateResult> evaluate(const SweepConfig& config,
                                         std::vector<WorkUnit> units);
 

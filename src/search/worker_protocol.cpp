@@ -241,7 +241,6 @@ util::Json sweep_config_to_json(const SweepConfig& config) {
   s["prune_margin"] = search.prune_margin;
   s["max_candidates"] = search.max_candidates;
   s["threads"] = search.threads;
-  s["lookahead"] = search.lookahead;
   s["run_retries"] = search.run_retries;
 
   const nn::TrainConfig& train = search.train;
@@ -302,7 +301,6 @@ SweepConfig sweep_config_from_json(const util::Json& json) {
   search.prune_margin = s.at("prune_margin").as_number();
   search.max_candidates = s.at("max_candidates").as_integer<std::size_t>();
   search.threads = s.at("threads").as_integer<std::size_t>();
-  search.lookahead = s.at("lookahead").as_integer<std::size_t>();
   search.run_retries = s.at("run_retries").as_integer<std::size_t>();
 
   const util::Json& t = s.at("train");
@@ -491,7 +489,7 @@ std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
       }
     }
   }
-  // Replay exactly what run_repeated_search does for this repetition: the
+  // Replay exactly what the unit scheduler does for this repetition: the
   // repetition stream is the (repetition+1)-th split of the root search
   // stream, and the stratified split consumes it before any training draws.
   const data::Dataset dataset = level_dataset(features, config);

@@ -7,7 +7,7 @@
 // ModelSpec, the pre-split per-run RNG streams the in-process search would
 // have consumed, and the sweep config the unit belongs to. The worker
 // re-derives the level dataset and the repetition's train/val split from
-// that config (replaying exactly the derivation run_repeated_search
+// that config (replaying exactly the derivation the unit scheduler
 // performs), trains the unit with qhdl::search::evaluate_candidate on the
 // shipped streams, and returns the CandidateResult in the checkpoint's own
 // JSON encoding — so a multi-process sweep is byte-identical to an
@@ -50,9 +50,10 @@
 namespace qhdl::search {
 
 // v2 added the registration handshake (`register` frames); v3 moved the
-// sweep config from `init` into every `unit` frame. Framing is unchanged
-// from v1.
-inline constexpr int kWorkerProtocolVersion = 3;
+// sweep config from `init` into every `unit` frame; v4 dropped the search
+// config's `lookahead` key, so a v3 peer is rejected at registration rather
+// than failing every unit's config parse. Framing is unchanged from v1.
+inline constexpr int kWorkerProtocolVersion = 4;
 
 /// Upper bound on a frame payload; a length prefix beyond it means the
 /// stream is garbage (a real unit/result frame is a few KB).

@@ -6,7 +6,7 @@
 // connection carries one request and receives exactly one *terminal* reply
 // frame, then the server closes it. A study request that sets
 // "progress": true additionally receives zero or more {"type":"progress"}
-// frames before the terminal reply — one per committed unit window, with
+// frames before the terminal reply — one per committed unit, with
 // family/features/repetition/units_done/total_units and the last evaluated
 // spec; clients must keep reading until a non-progress frame arrives.
 //

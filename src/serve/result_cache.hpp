@@ -2,8 +2,8 @@
 //
 // The cache key is the PR-4 FNV-1a sweep-config hash
 // (search::sweep_config_hash): two requests whose configs agree on every
-// result-affecting field — and only those fields; threads/lookahead are
-// excluded by construction — share one entry. An entry is a
+// result-affecting field — and only those fields; threads is excluded by
+// construction — share one entry. An entry is a
 // search::StudyCheckpoint, the same durable unit manifest the resume path
 // uses, so "cache hit" and "bit-identical resume replay" are one mechanism:
 // a repeated study replays every completed unit (byte-identical by the §10

@@ -318,7 +318,7 @@ struct Server::Impl {
 
     // Monitor the socket while the job is pending: EOF means the client
     // went away, and an orphaned job must not burn an executor slot any
-    // longer than one unit window.
+    // longer than its running units.
     if (!wait_with_disconnect_watch(socket, *job)) {
       bump([](ServerStats& s) { ++s.client_disconnects; });
       job->cancel.cancel("client disconnected");
@@ -447,8 +447,8 @@ struct Server::Impl {
 
     auto checkpoint = cache.checkpoint_for(config);
 
-    // Progress streaming: fires from concurrent level threads after each
-    // committed unit window; frames queue on the job (bounded, oldest
+    // Progress streaming: fires from the scheduler's lanes after each
+    // committed unit; frames queue on the job (bounded, oldest
     // dropped) and the connection thread drains them to the socket.
     search::ProgressFn progress_fn;
     if (job.wants_progress) {

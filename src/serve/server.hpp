@@ -8,8 +8,8 @@
 //     {"type":"rejected","reason":"overloaded"} immediately instead of
 //     queueing without bound; the shed is counted and visible in `stats`.
 //   * Per-job deadlines — `job_timeout_ms` arms a util::Deadline on the
-//     job's CancelToken; the compute layer polls it at unit-window
-//     boundaries and the client receives {"type":"cancelled"}.
+//     job's CancelToken; the compute layer polls it at every unit
+//     dispatch and the client receives {"type":"cancelled"}.
 //   * Client-disconnect detection — the connection thread polls its socket
 //     while the job is pending; EOF cancels the orphaned job so executor
 //     slots are never burned for an absent client.

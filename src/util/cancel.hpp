@@ -5,9 +5,10 @@
 // disconnect or an expired per-job deadline aborts that job alone while the
 // rest of the queue keeps executing. A CancelToken is that channel: the
 // connection/admission side calls cancel() or set_deadline(), and the
-// compute side polls throw_if_cancelled() at its unit-window boundaries
-// (search::search_once), which is the same granularity the global interrupt
-// uses. Cancellation is therefore prompt to within one unit window, and a
+// compute side polls throw_if_cancelled() at every unit dispatch
+// (search::UnitScheduler), which is the same granularity the global
+// interrupt uses. Cancellation is therefore prompt to within one running
+// unit, and a
 // partially executed job leaves its completed units in the result cache —
 // a retry resumes instead of recomputing.
 #pragma once

@@ -1,10 +1,9 @@
 // Cooperative SIGINT/SIGTERM handling for the long-running drivers.
 //
 // The study is an hours-long sweep; a Ctrl-C or a scheduler's SIGTERM must
-// not lose work. The async-signal handler only sets a flag; the search loop
-// polls it at work-unit boundaries (search_once's commit loop) and raises
-// Interrupted, which unwinds through the parallel_for layers (cancelling
-// unclaimed work), past the checkpoint — already flushed at every unit
+// not lose work. The async-signal handler only sets a flag; the unit
+// scheduler polls it at every unit dispatch and raises Interrupted once
+// its running units have returned, past the checkpoint — already flushed at every unit
 // boundary — and up to the driver, which reports the resume command and
 // exits cleanly with status 130. When a worker pool is active, the
 // supervisor observes the flag and forwards SIGTERM to every live worker so

@@ -1,6 +1,6 @@
-// Persistent worker-thread pool shared by every parallel code path (quantum
-// batch execution, per-candidate training runs, speculative candidate
-// lookahead, level-parallel sweeps).
+// Persistent worker-thread pool shared by every parallel code path (the
+// unit scheduler's lanes, quantum batch execution, a standalone candidate's
+// training runs).
 //
 // Design constraints, in order:
 //   1. Determinism: the pool never decides *what* runs, only *where*. Call

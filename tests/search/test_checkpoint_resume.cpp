@@ -173,11 +173,10 @@ TEST_F(CheckpointResumeTest, ConfigHashSeparatesProtocols) {
     EXPECT_NE(sweep_config_hash(changed), hash) << perturbation.field;
   }
 
-  // Threads/lookahead are excluded by the determinism guarantee: a resume
-  // may legitimately use a different parallelism than the original run.
+  // Threads are excluded by the determinism guarantee: a resume may
+  // legitimately use a different parallelism than the original run.
   changed = base;
   changed.search.threads = 8;
-  changed.search.lookahead = 3;
   EXPECT_EQ(sweep_config_hash(changed), hash);
 }
 
@@ -222,9 +221,9 @@ TEST_F(CheckpointResumeTest, GoldenResumeSerial) {
 }
 
 TEST_F(CheckpointResumeTest, GoldenResumeThreaded) {
-  // threads=4 -> window 4: repetition 0 flushes its whole window (4 units),
-  // then the crash lands mid-commit in repetition 1; the resumed search
-  // replays rep 0 from the manifest and retrains rep 1, on 4 threads.
+  // threads=4: both repetitions train side by side and commit in FLOPs
+  // order each; the crash lands at the 6th commit, and the resumed search
+  // replays what was flushed and retrains the rest, on 4 threads.
   golden_resume(path_, 4, 4, "unit=crash@6");
 }
 

@@ -31,6 +31,7 @@
 #include "util/fault_injection.hpp"
 #include "util/interrupt.hpp"
 #include "util/rng.hpp"
+#include "util/socket.hpp"
 #include "util/subprocess.hpp"
 
 namespace qhdl::search {
@@ -325,26 +326,21 @@ TEST(WorkerPoolGolden, MultiProcessSweepMatchesInProcessBytes) {
 
 // --- dispatcher wakeups -----------------------------------------------------
 
-// Once evaluate() returns, the single worker is ready and idle, so no fd
-// traffic can end the dispatcher's poll(): only the destructor's own wakeup
-// does (DESIGN.md §11). Waiting out the 50 ms timer tick instead would make
-// every destruction take up to 50 ms.
+// A listening pool with no daemon has no fd traffic at all, so nothing but
+// the destructor's own wakeup can end the dispatcher's poll() (DESIGN.md
+// §11); waiting out the 50 ms timer tick instead would make every
+// destruction take up to 50 ms. No worker process exists, so no exit or
+// reap falls inside the timed span, and the handshake deadline is far off.
 TEST(WorkerPool, DestructionWakesDispatcher) {
-  if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
-  const SweepConfig config = sweep_config();
+  if (!util::sockets_supported()) GTEST_SKIP() << "no socket support";
   WorkerPoolConfig pool_config;
-  pool_config.workers = 1;
+  pool_config.remote_workers = 1;
+  pool_config.handshake_timeout_ms = 60000;
   for (int round = 0; round < 5; ++round) {
     auto pool = std::make_unique<WorkerPool>(pool_config);
-    ASSERT_FALSE(pool->degraded()) << pool->degraded_reason();
-    WorkUnit unit;
-    unit.key = UnitKey{"classical", 4, 0, 0};
-    unit.spec = ModelSpec::make_classical({4});
-    util::Rng rng{7};
-    for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
-      unit.streams.push_back(rng.split());
-    }
-    ASSERT_EQ(pool->evaluate(config, {unit}).size(), 1u);
+    ASSERT_NE(pool->listen_port(), 0) << "listener did not bind";
+    // Let the dispatcher enter its poll().
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
     const auto start = std::chrono::steady_clock::now();
     pool.reset();

@@ -77,14 +77,12 @@ TEST(ServeProtocol, StudyRequestRoundTripsTheConfig) {
               search::sweep_config_hash(changed))
         << perturbation.field;
   }
-  // threads and lookahead leave the hash alone but still cross the wire.
+  // threads leaves the hash alone but still crosses the wire.
   search::SweepConfig parallel = config;
   parallel.search.threads = 7;
-  parallel.search.lookahead = 3;
   const search::SweepConfig parallel_back = search::sweep_config_from_json(
       make_study_request(search::Family::Classical, parallel).at("config"));
   EXPECT_EQ(parallel_back.search.threads, 7u);
-  EXPECT_EQ(parallel_back.search.lookahead, 3u);
 }
 
 }  // namespace

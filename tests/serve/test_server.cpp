@@ -390,8 +390,8 @@ TEST_F(ServeServerTest, StudyWithProgressStreamsFramesBeforeTheReply) {
       [&progress](const util::Json& frame) { progress.push_back(frame); },
       120000);
   ASSERT_EQ(reply.at("type").as_string(), "result");
-  // One frame per committed unit window; the tiny study has 2 units and a
-  // window of at least 1, so at least one frame must have streamed.
+  // One frame per committed unit; the tiny study commits at least one, so
+  // at least one frame must have streamed.
   ASSERT_GE(progress.size(), 1u);
   for (const util::Json& frame : progress) {
     EXPECT_EQ(frame.at("type").as_string(), "progress");
@@ -474,7 +474,7 @@ TEST_F(ServeServerTest, JobDeadlineCancelsSleep) {
 
 TEST_F(ServeServerTest, JobDeadlineCancelsStudyCompute) {
   // A heavy study against a tiny budget: the deadline must interrupt real
-  // compute at a unit-window boundary, not just the diagnostic sleep job.
+  // compute at a unit dispatch, not just the diagnostic sleep job.
   search::SweepConfig config = tiny_study();
   config.search.max_candidates = 8;
   config.search.runs_per_model = 3;

@@ -186,7 +186,7 @@ struct ConfigPerturbation {
 
 /// A perturbation for every field that can change a sweep's result: the
 /// fields sweep_config_hash must separate and the config codec must carry.
-/// threads and lookahead are not listed (results are invariant in them).
+/// threads is not listed (results are invariant in it).
 std::vector<ConfigPerturbation> result_affecting_perturbations();
 
 }  // namespace qhdl::testing

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                  "Reply timeout in seconds (0 = wait forever; with "
                  "--progress it re-arms per received frame)");
   cli.add_flag("progress",
-               "Stream per-unit-window progress frames for --type study "
+               "Stream per-unit progress frames for --type study "
                "(printed to stderr, one line each)");
   cli.add_flag("quiet", "Suppress progress logging");
   try {
