@@ -65,6 +65,30 @@ std::vector<double> QuantumLayer::pack_params(const Tensor& input,
   return params;
 }
 
+std::vector<double> QuantumLayer::pack_batch(const Tensor& input) const {
+  const std::size_t stride = config_.qubits + weights_.value.size();
+  std::vector<double> params(input.rows() * stride);
+  for (std::size_t b = 0; b < input.rows(); ++b) {
+    const auto row = pack_params(input, b);
+    std::copy(row.begin(), row.end(), params.begin() + b * stride);
+  }
+  return params;
+}
+
+void QuantumLayer::for_each_chunk(
+    std::size_t batch,
+    const std::function<void(std::size_t, std::size_t)>& work) const {
+  // Per-row arithmetic is independent of the chunk boundaries, so results
+  // stay bit-identical across thread counts. The pool is the shared
+  // persistent one: forward/backward run once per training batch.
+  const std::size_t chunks =
+      std::min(std::max<std::size_t>(1, config_.threads), batch);
+  util::parallel_for(0, chunks, chunks, [&](std::size_t c) {
+    const std::size_t begin = c * batch / chunks;
+    work(begin, (c + 1) * batch / chunks - begin);
+  });
+}
+
 Tensor QuantumLayer::forward(const Tensor& input) {
   const std::size_t q = config_.qubits;
   if (input.rank() != 2 || input.cols() != q) {
@@ -77,70 +101,42 @@ Tensor QuantumLayer::forward(const Tensor& input) {
 
   Tensor output{Shape{input.rows(), q}};
 
-  // Batched SoA fast path: all rows march through the gate kernels
-  // together, hitting contiguous memory (see StateVectorBatch). Chunked
-  // over the thread pool; per-row arithmetic is independent of the chunk
-  // boundaries, so results stay bit-identical across thread counts.
-  if (config_.noise.empty() && config_.shots == 0 &&
-      executor_.batch_path_available()) {
-    const std::size_t batch = input.rows();
-    const std::size_t stride = q + weights_.value.size();
-    std::vector<double> params(batch * stride);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = pack_params(input, b);
-      std::copy(row.begin(), row.end(), params.begin() + b * stride);
-    }
-    const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
-    const std::size_t chunks = std::min(threads, batch);
-    const auto run_chunk = [&](std::size_t c) {
-      const std::size_t begin = c * batch / chunks;
-      const std::size_t end = (c + 1) * batch / chunks;
-      if (begin == end) return;
-      const std::size_t rows = end - begin;
-      const auto expectations = executor_.run_batch(
-          std::span<const double>{params}.subspan(begin * stride,
-                                                  rows * stride),
-          stride, rows);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t w = 0; w < q; ++w) {
-          output.at(begin + r, w) = expectations[r * q + w];
-        }
+  // Noise and shots run row by row, in order (sampling shares an RNG).
+  if (!config_.noise.empty() || config_.shots > 0) {
+    std::vector<std::size_t> wires(q);
+    for (std::size_t w = 0; w < q; ++w) wires[w] = w;
+    for (std::size_t b = 0; b < input.rows(); ++b) {
+      const auto params = pack_params(input, b);
+      std::vector<double> expectations;
+      if (!config_.noise.empty()) {
+        expectations = quantum::noisy_expvals(executor_.circuit(), params,
+                                              config_.noise, wires);
+      } else {
+        const quantum::StateVector psi = executor_.circuit().execute(params);
+        expectations = quantum::estimate_expvals_z(psi, wires, config_.shots,
+                                                   sample_rng_);
       }
-    };
-    if (chunks > 1) {
-      run_batch_parallel(chunks, run_chunk);
-    } else {
-      run_chunk(0);
+      for (std::size_t w = 0; w < q; ++w) output.at(b, w) = expectations[w];
     }
     return output;
   }
 
-  std::vector<std::size_t> wires(q);
-  for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-
-  const auto compute_row = [&](std::size_t b) {
-    const auto params = pack_params(input, b);
-    std::vector<double> expectations;
-    if (!config_.noise.empty()) {
-      expectations = quantum::noisy_expvals(executor_.circuit(), params,
-                                            config_.noise, wires);
-    } else if (config_.shots > 0) {
-      const quantum::StateVector psi = executor_.circuit().execute(params);
-      expectations = quantum::estimate_expvals_z(psi, wires, config_.shots,
-                                                 sample_rng_);
-    } else {
-      expectations = executor_.run(params);
+  // Exact: each chunk of rows marches through the gate kernels together,
+  // hitting contiguous memory (see StateVectorBatch); the executor falls
+  // back row by row where it has no batched kernels.
+  const std::size_t stride = q + weights_.value.size();
+  const std::vector<double> params = pack_batch(input);
+  for_each_chunk(input.rows(), [&](std::size_t begin, std::size_t rows) {
+    const auto expectations = executor_.run_batch(
+        std::span<const double>{params}.subspan(begin * stride,
+                                                rows * stride),
+        stride, rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t w = 0; w < q; ++w) {
+        output.at(begin + r, w) = expectations[r * q + w];
+      }
     }
-    for (std::size_t w = 0; w < q; ++w) output.at(b, w) = expectations[w];
-  };
-
-  // Thread over the batch only on the exact path (sampling shares an RNG).
-  if (config_.threads > 1 && config_.noise.empty() && config_.shots == 0 &&
-      input.rows() > 1) {
-    run_batch_parallel(input.rows(), compute_row);
-  } else {
-    for (std::size_t b = 0; b < input.rows(); ++b) compute_row(b);
-  }
+  });
   return output;
 }
 
@@ -160,29 +156,33 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
   }
 
   const std::size_t batch = cached_input_.rows();
-  Tensor grad_input{Shape{batch, q}};
-
-  // Batched SoA fast path mirroring forward(): one adjoint sweep per chunk
-  // covers every row in it.
-  if (config_.noise.empty() && executor_.batch_path_available()) {
-    const std::size_t stride = q + weights_.value.size();
-    std::vector<double> params(batch * stride);
-    std::vector<double> upstream(batch * q);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = pack_params(cached_input_, b);
-      std::copy(row.begin(), row.end(), params.begin() + b * stride);
-      for (std::size_t w = 0; w < q; ++w) {
-        upstream[b * q + w] = grad_output.at(b, w);
-      }
+  const std::size_t stride = q + weights_.value.size();
+  std::vector<double> upstream(batch * q);
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t w = 0; w < q; ++w) {
+      upstream[b * q + w] = grad_output.at(b, w);
     }
-    std::vector<double> all_grads(batch * stride);
-    const std::size_t threads = config_.threads > 0 ? config_.threads : 1;
-    const std::size_t chunks = std::min(threads, batch);
-    const auto run_chunk = [&](std::size_t c) {
-      const std::size_t begin = c * batch / chunks;
-      const std::size_t end = (c + 1) * batch / chunks;
-      if (begin == end) return;
-      const std::size_t rows = end - begin;
+  }
+
+  // Row b's gradient over [angles | weights] lands at b * stride.
+  std::vector<double> all_grads(batch * stride);
+  if (!config_.noise.empty()) {
+    std::vector<std::size_t> wires(q);
+    for (std::size_t w = 0; w < q; ++w) wires[w] = w;
+    for (std::size_t b = 0; b < batch; ++b) {
+      const auto gradient =
+          quantum::noisy_parameter_shift_vjp(
+              executor_.circuit(), pack_params(cached_input_, b),
+              config_.noise, wires,
+              std::span<const double>{upstream}.subspan(b * q, q))
+              .gradient;
+      std::copy(gradient.begin(), gradient.end(),
+                all_grads.begin() + b * stride);
+    }
+  } else {
+    // Exact: one adjoint sweep per chunk covers every row in it.
+    const std::vector<double> params = pack_batch(cached_input_);
+    for_each_chunk(batch, [&](std::size_t begin, std::size_t rows) {
       const auto vjp = executor_.run_with_vjp_batch(
           std::span<const double>{params}.subspan(begin * stride,
                                                   rows * stride),
@@ -190,74 +190,21 @@ Tensor QuantumLayer::backward(const Tensor& grad_output) {
           std::span<const double>{upstream}.subspan(begin * q, rows * q));
       std::copy(vjp.gradient.begin(), vjp.gradient.end(),
                 all_grads.begin() + begin * stride);
-    };
-    if (chunks > 1) {
-      run_batch_parallel(chunks, run_chunk);
-    } else {
-      run_chunk(0);
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t w = 0; w < q; ++w) {
-        grad_input.at(b, w) =
-            config_.encoding.scale * all_grads[b * stride + w];
-      }
-      for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-        weights_.grad[i] += all_grads[b * stride + q + i];
-      }
-    }
-    return grad_input;
+    });
   }
 
-  std::vector<std::size_t> wires(q);
-  for (std::size_t w = 0; w < q; ++w) wires[w] = w;
-
-  // Per-sample gradients land in per-row buffers; the weight gradient is
-  // reduced afterwards so the parallel path needs no synchronization.
-  std::vector<std::vector<double>> weight_grads(
-      batch, std::vector<double>(weights_.value.size(), 0.0));
-
-  const auto compute_row = [&](std::size_t b) {
-    const auto params = pack_params(cached_input_, b);
-    std::vector<double> upstream(q);
-    for (std::size_t w = 0; w < q; ++w) upstream[w] = grad_output.at(b, w);
-
-    std::vector<double> gradient;
-    if (config_.noise.empty()) {
-      gradient = executor_.run_with_vjp(params, upstream).gradient;
-    } else {
-      gradient = quantum::noisy_parameter_shift_vjp(
-                     executor_.circuit(), params, config_.noise, wires,
-                     upstream)
-                     .gradient;
-    }
-    // First q entries are encoding-angle gradients; the chain rule through
-    // angle = scale * input multiplies by the encoding scale.
-    for (std::size_t w = 0; w < q; ++w) {
-      grad_input.at(b, w) = config_.encoding.scale * gradient[w];
-    }
-    for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-      weight_grads[b][i] = gradient[q + i];
-    }
-  };
-
-  if (config_.threads > 1 && config_.noise.empty() && batch > 1) {
-    run_batch_parallel(batch, compute_row);
-  } else {
-    for (std::size_t b = 0; b < batch; ++b) compute_row(b);
-  }
+  // The first q entries of a row are encoding-angle gradients; the chain
+  // rule through angle = scale * input multiplies by the encoding scale.
+  Tensor grad_input{Shape{batch, q}};
   for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t w = 0; w < q; ++w) {
+      grad_input.at(b, w) = config_.encoding.scale * all_grads[b * stride + w];
+    }
     for (std::size_t i = 0; i < weights_.value.size(); ++i) {
-      weights_.grad[i] += weight_grads[b][i];
+      weights_.grad[i] += all_grads[b * stride + q + i];
     }
   }
   return grad_input;
-}
-
-void QuantumLayer::run_batch_parallel(
-    std::size_t batch, const std::function<void(std::size_t)>& work) const {
-  // Shared persistent pool: forward/backward run once per training batch,
-  // so spawning threads here (the old design) dominated small-circuit cost.
-  util::parallel_for(0, batch, config_.threads, work);
 }
 
 std::vector<nn::Parameter*> QuantumLayer::parameters() { return {&weights_}; }

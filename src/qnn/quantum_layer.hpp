@@ -70,10 +70,14 @@ class QuantumLayer : public nn::Module {
   std::vector<double> pack_params(const tensor::Tensor& input,
                                   std::size_t row) const;
 
-  /// Dispatches `work(row)` over [0, batch) on the shared pool, at most
-  /// config_.threads rows in flight.
-  void run_batch_parallel(std::size_t batch,
-                          const std::function<void(std::size_t)>& work) const;
+  /// pack_params for every row of `input`, rows back to back.
+  std::vector<double> pack_batch(const tensor::Tensor& input) const;
+
+  /// Splits [0, batch) into at most config_.threads contiguous chunks and
+  /// runs `work(begin, rows)` for each on the shared pool.
+  void for_each_chunk(
+      std::size_t batch,
+      const std::function<void(std::size_t, std::size_t)>& work) const;
 
   QuantumLayerConfig config_;
   quantum::Executor executor_;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
 #include "nn/fastpath.hpp"
 #include "quantum/exec_plan.hpp"
@@ -59,6 +60,18 @@ std::vector<util::Rng> split_run_rngs(const SearchConfig& config,
     run_rngs.push_back(rng.split());
   }
   return run_rngs;
+}
+
+SearchSplit draw_search_split(const data::Dataset& dataset,
+                              const SearchConfig& config,
+                              std::size_t repetition) {
+  util::Rng root{config.seed};
+  util::Rng stream = root.split();
+  for (std::size_t rep = 0; rep < repetition; ++rep) stream = root.split();
+  auto split = std::make_shared<data::TrainValSplit>(
+      data::stratified_split(dataset, config.validation_fraction, stream));
+  data::standardize_split(*split);
+  return SearchSplit{std::move(split), stream};
 }
 
 namespace {

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "data/dataset.hpp"
@@ -190,6 +191,23 @@ std::vector<ModelSpec> sort_by_flops(std::vector<ModelSpec> specs,
 /// std::invalid_argument when runs_per_model is 0.
 std::vector<util::Rng> split_run_rngs(const SearchConfig& config,
                                       util::Rng& rng);
+
+/// One search's data, drawn as every sweep draws it.
+struct SearchSplit {
+  std::shared_ptr<const data::TrainValSplit> split;
+  /// The repetition stream, advanced past the split: the search's
+  /// candidates draw their run streams (split_run_rngs) from it next, one
+  /// candidate after another in FLOPs order.
+  util::Rng stream;
+};
+
+/// Repetition `repetition`'s stream is the (repetition+1)-th split of
+/// Rng{config.seed}; the stratified, standardized train/validation split of
+/// `dataset` consumes it first. The unit scheduler, the workers' split
+/// cache and qhdl_serve's `train` all derive a search's data here.
+SearchSplit draw_search_split(const data::Dataset& dataset,
+                              const SearchConfig& config,
+                              std::size_t repetition);
 
 /// Trains one candidate (`runs_per_model` runs) and reports averages.
 CandidateResult evaluate_candidate(const ModelSpec& spec,

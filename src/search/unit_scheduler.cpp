@@ -8,7 +8,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
 #include "search/checkpoint.hpp"
 #include "search/worker_pool.hpp"
@@ -107,8 +106,8 @@ struct UnitScheduler::State {
     ++closed;
   }
 
-  /// Builds the search's split (and, for the level's first search, its
-  /// dataset and FLOPs order) from the search's own stream.
+  /// Builds the search's split and stream (and, for the level's first
+  /// search, its dataset and FLOPs order).
   void open_locked(Search& search) {
     search.opened = true;
     if (search.level != nullptr) {
@@ -123,11 +122,10 @@ struct UnitScheduler::State {
                                      level.dataset->features(),
                                      level.dataset->classes, config);
       }
-      auto split = std::make_shared<data::TrainValSplit>(
-          data::stratified_split(*level.dataset, config.validation_fraction,
-                                 search.stream()));
-      data::standardize_split(*split);
-      search.split = std::move(split);
+      SearchSplit drawn =
+          draw_search_split(*level.dataset, config, search.repetition);
+      search.split = std::move(drawn.split);
+      search.own_stream = drawn.stream;
       search.sorted = &level.sorted;
       if (++level.splits_built == level.searches) level.dataset.reset();
     }
@@ -401,14 +399,11 @@ void UnitScheduler::add_level(SearchLevel level) {
   auto& stored = state_->levels.emplace_back(std::make_unique<Level>());
   stored->plan = std::move(level);
   stored->searches = state_->config.repetitions;
-  // Repetition streams in repetition order, as the serial walk splits them.
-  util::Rng rng{state_->config.seed};
   for (std::size_t rep = 0; rep < state_->config.repetitions; ++rep) {
     Search& search = state_->searches.emplace_back();
     search.level = stored.get();
     search.features = stored->plan.features;
     search.repetition = rep;
-    search.own_stream = rng.split();
   }
 }
 

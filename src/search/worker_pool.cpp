@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -61,19 +60,24 @@ struct WorkerPool::Impl {
   /// attempt; this cap stops a unit that somehow kills every transport it
   /// touches from cycling forever.
   static constexpr std::size_t kMaxOrphanRedispatch = 8;
+  /// Thread width inside a worker: a unit's runs train one after another,
+  /// which never changes a result.
+  static constexpr std::size_t kWorkerThreads = 1;
+  /// Respawn backoff cap, and the seed of its jitter draw (the slot index
+  /// is the salt, so the schedule is reproducible under the fault matrix).
+  static constexpr std::uint64_t kBackoffMaxMs = 5000;
+  static constexpr std::uint64_t kBackoffJitterSeed = 0x71686a69ULL;
 
-  /// A unit somewhere between submission and resolution. `attempts` counts
-  /// failed attempts; `done` is reported exactly once (result, quarantine,
-  /// or exception).
+  /// A unit somewhere between submission and resolution: in the queue or in
+  /// exactly one slot, never both. `attempts` counts failed attempts; `done`
+  /// is reported exactly once (result, quarantine, or exception).
   struct PendingUnit {
     WorkUnit unit;
-    /// The shipped sweep config (search.threads = worker_threads).
+    /// The shipped sweep config (search.threads = kWorkerThreads).
     std::shared_ptr<const SweepConfig> config;
     std::string wire;  ///< the unit frame, built once at submission
     std::size_t attempts = 0;
-    std::size_t replicas = 0;    ///< dispatched copies currently in flight
     std::size_t orphanings = 0;  ///< uncharged re-dispatches (transport loss)
-    std::uint64_t first_dispatch_ms = 0;  ///< straggler clock, per dispatch
     std::vector<std::string> causes;
     UnitDone done;
     bool resolved = false;
@@ -173,14 +177,6 @@ struct WorkerPool::Impl {
     for (const std::function<void()>& report : ready) report();
   }
 
-  void requeue_front(const std::shared_ptr<PendingUnit>& unit) {
-    // With straggler replicas a unit can fail on two slots in one tick;
-    // never let it occupy two queue positions.
-    if (std::find(queue.begin(), queue.end(), unit) == queue.end()) {
-      queue.push_front(unit);
-    }
-  }
-
   /// Books one failed attempt: requeues (front, so the retry preempts new
   /// work) while the retry budget lasts, else quarantines through the PR-4
   /// failure path. The unit's RNG streams are untouched, so a successful
@@ -207,7 +203,7 @@ struct WorkerPool::Impl {
       if (unit->attempts == 1) stat.retried_units += 1;
       util::log_warn("worker pool: retrying " + key + " (attempt " +
                      std::to_string(unit->attempts + 1) + "): " + cause);
-      requeue_front(unit);
+      queue.push_front(unit);
     }
   }
 
@@ -217,13 +213,6 @@ struct WorkerPool::Impl {
   /// back to the queue front and a lost host never stalls the sweep.
   void orphan_requeue(const std::shared_ptr<PendingUnit>& unit,
                       const std::string& cause) {
-    const std::string key = unit->unit.key.to_string();
-    if (unit->replicas > 0) {
-      util::log_info("worker pool: lost one replica of " + key + " (" +
-                     cause + "); " + std::to_string(unit->replicas) +
-                     " still in flight");
-      return;
-    }
     unit->orphanings += 1;
     if (unit->orphanings > kMaxOrphanRedispatch) {
       fail_attempt(unit, cause + " (after " +
@@ -232,9 +221,10 @@ struct WorkerPool::Impl {
       return;
     }
     stat.steals += 1;
-    util::log_warn("worker pool: re-dispatching orphaned " + key + " (" +
-                   cause + "); no retry attempt charged");
-    requeue_front(unit);
+    util::log_warn("worker pool: re-dispatching orphaned " +
+                   unit->unit.key.to_string() + " (" + cause +
+                   "); no retry attempt charged");
+    queue.push_front(unit);
   }
 
   // --- worker lifecycle (mutex held) ---------------------------------------
@@ -244,8 +234,8 @@ struct WorkerPool::Impl {
   std::uint64_t arm_backoff(Slot& slot) {
     slot.consecutive_failures += 1;
     const std::uint64_t wait = backoff_with_jitter_ms(
-        cfg.backoff_initial_ms, cfg.backoff_max_ms, slot.consecutive_failures,
-        cfg.backoff_jitter_seed, slot.index);
+        cfg.backoff_initial_ms, kBackoffMaxMs, slot.consecutive_failures,
+        kBackoffJitterSeed, slot.index);
     slot.respawn_gate = util::Deadline::after_ms(wait);
     return wait;
   }
@@ -298,15 +288,6 @@ struct WorkerPool::Impl {
     return live;
   }
 
-  /// Releases the slot's in-flight unit. Returns it unless it is already
-  /// resolved (a straggler twin won, or it was never there).
-  std::shared_ptr<PendingUnit> detach_unit(Slot& slot) {
-    std::shared_ptr<PendingUnit> unit = std::move(slot.current);
-    if (unit == nullptr) return nullptr;
-    if (unit->replicas > 0) unit->replicas -= 1;
-    return unit->resolved ? nullptr : unit;
-  }
-
   /// Tears down a slot whose worker is done for. Ownership decides what the
   /// in-flight unit pays: an owned child's death charges a retry attempt
   /// (the process running the computation died), while a lost connection
@@ -328,7 +309,7 @@ struct WorkerPool::Impl {
                        slot.name + " (" + cause + ")");
       }
     }
-    if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+    if (std::shared_ptr<PendingUnit> unit = std::move(slot.current)) {
       if (slot.owned()) {
         fail_attempt(unit, cause);
       } else {
@@ -341,7 +322,7 @@ struct WorkerPool::Impl {
   /// Retires a slot whose unit is itself implicated — a deadline overrun or
   /// corrupt output — so the unit is charged an attempt on any worker.
   void fail_slot(Slot& slot, const std::string& cause) {
-    if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+    if (std::shared_ptr<PendingUnit> unit = std::move(slot.current)) {
       fail_attempt(unit, cause);
     }
     retire_slot(slot, cause, /*kill=*/true);
@@ -544,7 +525,6 @@ struct WorkerPool::Impl {
       retire_slot(slot, "", /*kill=*/true);
       return false;
     }
-    unit->replicas += 1;
     slot.current = std::move(unit);
     slot.unit_deadline = cfg.unit_timeout_ms > 0
                              ? util::Deadline::after_ms(cfg.unit_timeout_ms)
@@ -555,48 +535,11 @@ struct WorkerPool::Impl {
 
   void dispatch_locked() {
     for (Slot& slot : slots) {
-      // Units resolved while queued (e.g. quarantined through a replica's
-      // failure chain) are dropped, not dispatched.
-      while (!queue.empty() && queue.front()->resolved) queue.pop_front();
       if (queue.empty()) return;
       if (!slot.schedulable()) continue;
       std::shared_ptr<PendingUnit> unit = queue.front();
       queue.pop_front();
-      unit->first_dispatch_ms = util::monotonic_now_ms();
       if (!send_unit(slot, unit)) queue.push_front(std::move(unit));
-    }
-  }
-
-  /// Straggler work-stealing: when the queue is dry, an idle worker
-  /// duplicates the oldest single-replica unit that has been in flight
-  /// longer than steal_after_ms. Both replicas compute the same
-  /// deterministic function of the same shipped streams, and resolution is
-  /// idempotent — first result wins, bytes unchanged.
-  void steal_stragglers_locked() {
-    if (cfg.steal_after_ms == 0 || !queue.empty()) return;
-    const std::uint64_t now = util::monotonic_now_ms();
-    for (Slot& idle : slots) {
-      if (!idle.schedulable()) continue;
-      Slot* victim = nullptr;
-      for (Slot& busy : slots) {
-        if (busy.current == nullptr || busy.current->resolved) continue;
-        if (busy.current->replicas >= 2) continue;
-        if (now - busy.current->first_dispatch_ms < cfg.steal_after_ms) {
-          continue;
-        }
-        if (victim == nullptr || busy.current->first_dispatch_ms <
-                                     victim->current->first_dispatch_ms) {
-          victim = &busy;
-        }
-      }
-      if (victim == nullptr) return;
-      const std::shared_ptr<PendingUnit> unit = victim->current;
-      if (!send_unit(idle, unit)) continue;
-      stat.steals += 1;
-      util::log_warn("worker pool: stealing straggler " +
-                     unit->unit.key.to_string() + " from " + victim->name +
-                     " onto " + idle.name + " (in flight " +
-                     std::to_string(now - unit->first_dispatch_ms) + " ms)");
     }
   }
 
@@ -647,11 +590,8 @@ struct WorkerPool::Impl {
           fail_slot(slot, std::string{"corrupt result: "} + error.what());
           return false;
         }
-        // First result wins: with straggler stealing a twin may already
-        // have resolved this unit, in which case it is not handed back.
-        if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
-          resolve_result(*unit, std::move(result));
-        }
+        resolve_result(*slot.current, std::move(result));
+        slot.current.reset();
         slot.consecutive_failures = 0;
       } else if (type == "error") {
         // The worker survived but the unit failed cleanly in-process.
@@ -659,7 +599,7 @@ struct WorkerPool::Impl {
         if (frame.contains("message")) {
           message = frame.at("message").as_string();
         }
-        if (std::shared_ptr<PendingUnit> unit = detach_unit(slot)) {
+        if (std::shared_ptr<PendingUnit> unit = std::move(slot.current)) {
           fail_attempt(unit, "worker error: " + message);
         }
       } else {
@@ -776,8 +716,8 @@ struct WorkerPool::Impl {
         fds.push_back(pollfd{listener.fd(), POLLIN, 0});
       }
     }
-    // The timeout is only the tick for heartbeat, deadline, respawn-gate
-    // and steal checks; state changes arrive as fd events.
+    // The timeout is only the tick for heartbeat, deadline and respawn-gate
+    // checks; state changes arrive as fd events.
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
     wake.drain();
   }
@@ -797,7 +737,6 @@ struct WorkerPool::Impl {
       std::unique_lock<std::mutex> lock(mutex);
       while (!stop.load(std::memory_order_relaxed)) {
         handle_interrupt_locked();
-        while (!queue.empty() && queue.front()->resolved) queue.pop_front();
         if (queue.empty()) {
           if (inline_busy == 0) break;
           inline_ready.wait(lock);
@@ -843,7 +782,6 @@ struct WorkerPool::Impl {
           maybe_fallback_locked();
           respawn_slots_locked();
           dispatch_locked();
-          steal_stragglers_locked();
         }
       }
       fire_resolved();
@@ -980,8 +918,7 @@ void WorkerPool::submit(const SweepConfig& config, WorkUnit unit,
                         UnitDone done) {
   // Inside a worker the only parallelism is a unit's runs_per_model.
   auto shipped = std::make_shared<SweepConfig>(config);
-  shipped->search.threads =
-      std::max<std::size_t>(1, impl_->cfg.worker_threads);
+  shipped->search.threads = Impl::kWorkerThreads;
   util::Json frame = util::Json::object();
   frame["type"] = "unit";
   frame["config"] = sweep_config_to_json(*shipped);
@@ -998,31 +935,6 @@ void WorkerPool::submit(const SweepConfig& config, WorkUnit unit,
     impl_->inline_ready.notify_one();
   }
   impl_->wake.notify();
-}
-
-std::vector<CandidateResult> WorkerPool::evaluate(
-    const SweepConfig& config, std::vector<WorkUnit> units) {
-  util::throw_if_interrupted();
-  std::vector<std::future<CandidateResult>> futures;
-  futures.reserve(units.size());
-  for (WorkUnit& unit : units) {
-    auto promise = std::make_shared<std::promise<CandidateResult>>();
-    futures.push_back(promise->get_future());
-    submit(config, std::move(unit),
-           [promise](CandidateResult result, std::exception_ptr error) {
-             if (error != nullptr) {
-               promise->set_exception(error);
-             } else {
-               promise->set_value(std::move(result));
-             }
-           });
-  }
-  std::vector<CandidateResult> results;
-  results.reserve(futures.size());
-  for (std::future<CandidateResult>& future : futures) {
-    results.push_back(future.get());
-  }
-  return results;
 }
 
 bool WorkerPool::degraded() const {
@@ -1073,9 +985,6 @@ void add_worker_pool_options(util::Cli& cli,
   cli.add_double("handshake-timeout", 5.0,
                  "Registration deadline in seconds (per connection, and for "
                  "the remote fleet before local fallback)");
-  cli.add_double("steal-after", 0.0,
-                 "Duplicate a unit onto an idle worker once it has been in "
-                 "flight this many seconds (0 = off); results unchanged");
 }
 
 std::optional<WorkerPoolConfig> worker_pool_config_from_cli(
@@ -1093,7 +1002,6 @@ std::optional<WorkerPoolConfig> worker_pool_config_from_cli(
   config.unit_timeout_ms = ms("unit-timeout");
   config.unit_retries =
       static_cast<std::size_t>(std::max<long>(0, cli.get_int("worker-retries")));
-  config.steal_after_ms = ms("steal-after");
   if (cli.get_int("workers-remote") > 0) {
     config.remote_workers =
         static_cast<std::size_t>(cli.get_int("workers-remote"));

@@ -37,7 +37,8 @@
 // in FLOPs order within each search. A multi-process sweep is therefore
 // byte-identical to an in-process one (pinned by the worker-pool golden
 // test), regardless of worker count, scheduling, crashes, or retries that
-// eventually succeed.
+// eventually succeed. A unit lives in exactly one place, the queue or one
+// slot; it is never duplicated, only re-dispatched once its slot is gone.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +66,6 @@ struct WorkerPoolConfig {
   /// Extra "KEY=value" environment entries for workers (override inherited
   /// values). Tests use this to arm fault injection in workers only.
   std::vector<std::string> worker_env;
-  /// Thread width inside each worker (its runs_per_model parallelism).
-  std::size_t worker_threads = 1;
   /// Wall-clock budget per unit attempt in ms; 0 = no deadline.
   std::uint64_t unit_timeout_ms = 0;
   /// Cadence at which a busy worker emits heartbeat frames.
@@ -77,13 +76,10 @@ struct WorkerPoolConfig {
   /// quarantined after 1 + unit_retries failed attempts.
   std::size_t unit_retries = 2;
   /// Respawn backoff after consecutive failures of one worker slot:
-  /// jittered exponential, initial * 2^(failures-1) capped at max, then
+  /// jittered exponential, initial * 2^(failures-1) capped at 5 s, then
   /// drawn from [base/2, base] with backoff_with_jitter_ms (seeded — the
   /// schedule is reproducible under the fault matrix).
   std::uint64_t backoff_initial_ms = 100;
-  std::uint64_t backoff_max_ms = 5000;
-  /// Seed for the jittered backoff draw (worker slot index is the salt).
-  std::uint64_t backoff_jitter_seed = 0x71686a69ULL;
 
   // --- distributed mode (DESIGN.md §16) ---------------------------------
   /// Expected remote worker registrations. 0 keeps the pool purely local;
@@ -99,11 +95,6 @@ struct WorkerPoolConfig {
   /// frame must arrive within it), and for the fleet as a whole before the
   /// pool falls back to local workers.
   std::uint64_t handshake_timeout_ms = 5000;
-  /// Straggler work-stealing: an idle worker duplicates a unit that has
-  /// been in flight longer than this (first result wins; replicas are
-  /// byte-identical by construction). 0 disables stealing — orphaned-unit
-  /// re-dispatch on transport loss is always on.
-  std::uint64_t steal_after_ms = 0;
 };
 
 /// Supervisor health counters (monotonic over the pool's lifetime).
@@ -111,7 +102,8 @@ struct WorkerPoolStats {
   std::size_t restarts = 0;           ///< worker processes respawned
   std::size_t retried_units = 0;      ///< units that needed >= 1 retry
   std::size_t quarantined_units = 0;  ///< units that exhausted all retries
-  std::size_t steals = 0;             ///< units re-dispatched or duplicated
+  /// Units re-dispatched after a lost worker connection.
+  std::size_t steals = 0;
   std::size_t remote_registered = 0;  ///< remote registrations accepted
   std::size_t remote_lost = 0;        ///< remote connections lost
   std::size_t handshake_rejects = 0;  ///< connections dropped pre-register
@@ -145,17 +137,13 @@ class WorkerPool {
       std::function<void(CandidateResult result, std::exception_ptr error)>;
 
   /// Queues one unit of sweep `config` and returns at once; `done` reports
-  /// it. Workers get a copy with search.threads = worker_threads, which
-  /// never changes a result. Thread-safe: concurrent searches and studies
-  /// share the pool, and their units interleave on the workers. When a
-  /// cooperative shutdown arrives, every pending unit is reported with
-  /// util::Interrupted (after every live worker is sent a shutdown frame).
+  /// it. Workers get a copy with search.threads = 1, which never changes a
+  /// result. Thread-safe: concurrent searches and studies share the pool,
+  /// and their units interleave on the workers. A unit is dispatched to one
+  /// worker at a time. When a cooperative shutdown arrives, every pending
+  /// unit is reported with util::Interrupted (after every live worker is
+  /// sent a shutdown frame).
   void submit(const SweepConfig& config, WorkUnit unit, UnitDone done);
-
-  /// submit() for each unit, then waits: results in submission order.
-  /// Throws util::Interrupted as above.
-  std::vector<CandidateResult> evaluate(const SweepConfig& config,
-                                        std::vector<WorkUnit> units);
 
   /// True when the pool executes in-process (spawn failure at construction
   /// or persistent respawn failure mid-run).
@@ -180,7 +168,7 @@ class WorkerPool {
 
 /// Declares the worker-fleet options every pool-using program shares:
 /// --workers (help text `workers_help`), --unit-timeout, --worker-retries,
-/// --listen, --workers-remote, --handshake-timeout, --steal-after.
+/// --listen, --workers-remote, --handshake-timeout.
 void add_worker_pool_options(util::Cli& cli, const std::string& workers_help);
 
 /// The WorkerPoolConfig those options describe, or nullopt when neither

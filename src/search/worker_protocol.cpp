@@ -17,7 +17,6 @@
 #include <unistd.h>
 #endif
 
-#include "data/preprocess.hpp"
 #include "flops/profiler.hpp"
 #include "util/backend_registry.hpp"
 #include "util/fault_injection.hpp"
@@ -489,16 +488,10 @@ std::shared_ptr<const data::TrainValSplit> UnitDataCache::split_for(
       }
     }
   }
-  // Replay exactly what the unit scheduler does for this repetition: the
-  // repetition stream is the (repetition+1)-th split of the root search
-  // stream, and the stratified split consumes it before any training draws.
-  const data::Dataset dataset = level_dataset(features, config);
-  util::Rng root{config.search.seed};
-  util::Rng rep_rng = root.split();
-  for (std::size_t rep = 0; rep < repetition; ++rep) rep_rng = root.split();
-  auto split = std::make_shared<data::TrainValSplit>(data::stratified_split(
-      dataset, config.search.validation_fraction, rep_rng));
-  data::standardize_split(*split);
+  const std::shared_ptr<const data::TrainValSplit> split =
+      draw_search_split(level_dataset(features, config), config.search,
+                        repetition)
+          .split;
 
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->entries.push_back(

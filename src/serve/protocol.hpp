@@ -16,6 +16,9 @@
 //   {"type":"study","family":<name>,"config":<sweep_config_to_json>}
 //   {"type":"train","config":<sweep config>,"features":F,
 //    "repetition":R,"spec":<model_spec_to_json>}
+//                             (trains the spec on the split and run streams
+//                              the sweep gives the first candidate of search
+//                              (F, R), so it reproduces that unit's bytes)
 //   {"type":"sleep","ms":N}   (diagnostic job that occupies an executor
 //                              slot; used by the admission-control tests
 //                              and the load bench)

@@ -506,36 +506,26 @@ struct Server::Impl {
     const search::ModelSpec spec =
         search::model_spec_from_json(job.request.at("spec"));
 
-    search::WorkUnit unit;
-    // The unit family carries the spec identity so distinct specs at the
+    // The key's family carries the spec identity so distinct specs at the
     // same (features, repetition) occupy distinct cache slots.
-    unit.key.family =
-        "train:" + search::model_spec_to_json(spec).dump();
-    unit.key.features = features;
-    unit.key.repetition = repetition;
-    unit.key.candidate = 0;
-    unit.spec = spec;
+    const search::UnitKey key{
+        "train:" + search::model_spec_to_json(spec).dump(), features,
+        repetition, 0};
 
     auto checkpoint = cache.checkpoint_for(config);
     bool cached = true;
-    std::optional<search::CandidateResult> result =
-        checkpoint->find(unit.key);
+    std::optional<search::CandidateResult> result = checkpoint->find(key);
     if (!result.has_value()) {
       cached = false;
       util::throw_if_cancelled(&job.cancel);
-      // Stream derivation replays the sweep's: root seed -> the
-      // (repetition+1)-th split is the repetition stream, from which the
-      // run streams for this one candidate are drawn.
-      util::Rng root{config.search.seed};
-      util::Rng rep_rng = root;
-      for (std::size_t r = 0; r <= repetition; ++r) rep_rng = root.split();
-      unit.streams.reserve(config.search.runs_per_model);
-      for (std::size_t r = 0; r < config.search.runs_per_model; ++r) {
-        unit.streams.push_back(rep_rng.split());
-      }
-      search::UnitDataCache data_cache;
-      result = search::evaluate_unit(config, unit, data_cache);
-      checkpoint->record(unit.key, *result);
+      // The sweep's data and streams for the search's first candidate, so
+      // a train of a sweep's candidate 0 reproduces its bytes.
+      search::SearchSplit drawn = search::draw_search_split(
+          search::level_dataset(features, config), config.search,
+          repetition);
+      result = search::evaluate_candidate(spec, *drawn.split, config.search,
+                                          drawn.stream);
+      checkpoint->record(key, *result);
       checkpoint->flush();
     }
 

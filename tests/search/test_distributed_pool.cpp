@@ -4,9 +4,9 @@
 // sharded over TCP worker daemons is byte-identical to the in-process
 // sweep — including when a daemon is SIGKILLed mid-run, refuses the first
 // connect, has its connection reset or partitioned, or never shows up at
-// all (the pool falls back to local pipe workers). Replicas and retries
-// reuse the exact shipped RNG streams, and results commit in submission
-// order, so scheduling can never leak into the bytes.
+// all (the pool falls back to local workers). Re-dispatches and retries
+// reuse the exact shipped RNG streams, and results commit in FLOPs order,
+// so scheduling can never leak into the bytes.
 //
 // These tests spawn REAL daemon processes: the shared test main dispatches
 // --worker-connect to search::remote_worker_main, so this binary is its own
@@ -361,22 +361,20 @@ TEST(DistributedPoolFaults, RefusedConnectRetriesWithBackoffAndRegisters) {
   EXPECT_EQ(pool.stats().quarantined_units, 0u);
 }
 
-// --- straggler stealing ---------------------------------------------------
+// --- wedged daemon ---------------------------------------------------------
 
-TEST(DistributedPoolStealing, IdleWorkerDuplicatesStragglerFirstResultWins) {
+TEST(DistributedPoolFaults, WedgedDaemonIsReapedAndItsUnitRedispatched) {
   if (!distributed_supported()) GTEST_SKIP() << "no subprocess/socket support";
   const SweepConfig config = sweep_config(/*max_candidates=*/4);
   const std::string baseline = sweep_bytes(config, nullptr);
 
-  // Daemon A hangs on its first unit (silent wedge, no heartbeat frames
-  // suppressed — the worker=hang fault stops everything). With stealing
-  // armed, daemon B duplicates the straggling unit well before the
-  // heartbeat reaper would fire; the duplicate's result commits and the
-  // bytes cannot tell the difference.
+  // Daemon A wedges silently on its first unit (worker=hang: no heartbeat,
+  // no result). Heartbeat silence on an accepted connection implicates the
+  // host, not the unit, so the reaper drops the connection and the unit
+  // goes to daemon B uncharged; the bytes cannot tell the difference.
   WorkerPoolConfig pool_config = distributed_config(2);
-  pool_config.steal_after_ms = 300;
-  pool_config.heartbeat_timeout_ms = 20000;  // stealing must win the race
-  pool_config.unit_timeout_ms = 15000;       // eventually reaps the wedge
+  pool_config.heartbeat_interval_ms = 100;
+  pool_config.heartbeat_timeout_ms = 800;
   WorkerPool pool{pool_config};
   ASSERT_FALSE(pool.degraded()) << pool.degraded_reason();
   util::Subprocess daemon_a = spawn_daemon(
@@ -387,7 +385,10 @@ TEST(DistributedPoolStealing, IdleWorkerDuplicatesStragglerFirstResultWins) {
   ASSERT_TRUE(wait_for_registrations(pool, 2));
 
   EXPECT_EQ(sweep_bytes(config, &pool), baseline);
-  EXPECT_GE(pool.stats().steals, 1u);
+  const WorkerPoolStats stats = pool.stats();
+  EXPECT_GE(stats.steals, 1u);
+  EXPECT_GE(stats.remote_lost, 1u);
+  EXPECT_EQ(stats.quarantined_units, 0u);
 }
 
 // --- CI fault-matrix leg --------------------------------------------------

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -379,12 +380,29 @@ TEST(WorkerPool, InterruptFailsPendingUnitsAndStopsWorkers) {
     units.push_back(std::move(unit));
   }
   // The first unit wedges the only worker; the second waits in the queue.
+  // Each `done` fulfils its unit's promise, so a second report would throw
+  // std::future_error on the pool thread.
+  std::vector<std::future<std::exception_ptr>> reports;
+  for (WorkUnit& unit : units) {
+    auto report = std::make_shared<std::promise<std::exception_ptr>>();
+    reports.push_back(report->get_future());
+    pool->submit(config, std::move(unit),
+                 [report](CandidateResult, std::exception_ptr error) {
+                   report->set_value(error);
+                 });
+  }
   std::thread interrupter{[] {
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     util::request_interrupt();
   }};
-  EXPECT_THROW(pool->evaluate(config, std::move(units)), util::Interrupted);
   interrupter.join();
+  for (std::future<std::exception_ptr>& report : reports) {
+    ASSERT_EQ(report.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    const std::exception_ptr error = report.get();
+    ASSERT_NE(error, nullptr);
+    EXPECT_THROW(std::rethrow_exception(error), util::Interrupted);
+  }
 
   const auto start = std::chrono::steady_clock::now();
   pool.reset();

@@ -250,6 +250,35 @@ TEST_F(ServeServerTest, OutOfRangeNumbersAreErrorRepliesNotCrashes) {
   EXPECT_EQ(server.stats().jobs_failed, 3u);
 }
 
+// `train` replays the sweep's data and streams: training a sweep's first
+// candidate at its (features, repetition) returns that unit's exact bytes.
+TEST_F(ServeServerTest, TrainOfFirstCandidateReproducesTheSweepUnit) {
+  search::SweepConfig config = tiny_study();
+  config.search.repetitions = 2;
+  config.search.runs_per_model = 2;
+  const search::SweepResult sweep =
+      search::run_complexity_sweep(search::Family::Classical, config);
+  const search::CandidateResult& unit =
+      sweep.levels.at(0).search.repetitions.at(1).evaluated.at(0);
+  // An unsaturated candidate: other streams would give other accuracies.
+  ASSERT_LT(unit.avg_best_val_accuracy, 1.0);
+  ASSERT_LT(unit.avg_best_train_accuracy, 1.0);
+
+  Server server{ServerConfig{}};
+  server.start();
+  util::Json train = util::Json::object();
+  train["type"] = "train";
+  train["config"] = search::sweep_config_to_json(config);
+  train["spec"] = search::model_spec_to_json(unit.spec);
+  train["features"] = config.feature_sizes.at(0);
+  train["repetition"] = 1;
+  const util::Json reply =
+      round_trip("127.0.0.1", server.port(), train, 120000);
+  ASSERT_EQ(reply.at("type").as_string(), "result");
+  EXPECT_EQ(reply.at("unit").dump(),
+            search::candidate_result_to_json(unit).dump());
+}
+
 TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {
   if (!util::subprocess_supported()) GTEST_SKIP() << "no subprocess support";
   const search::SweepConfig config = tiny_study();

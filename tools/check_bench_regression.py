@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_micro.json against the committed baseline.
+"""Compare a fresh BENCH_micro.json or BENCH_serve.json against the
+committed baseline.
 
 Fails (exit 1) when any comparable benchmark is slower than baseline by
 more than the tolerance; reports (exit 0) improvements beyond the tolerance
 so CI can surface them. `--calibrate` divides every ratio by the median
 ratio first, so a uniformly slower/faster CI machine does not mask or fake
 a relative regression. Stdlib only.
+
+Counts that the benchmark protocol fixes, whatever the machine speed
+(EXACT_FIELDS: a serve phase's request count and its unit cache hits and
+misses), must match the baseline exactly wherever both entries carry them;
+a mismatch fails the comparison, so a stale or wrong baseline cannot pass.
 
 Benchmark names may carry a kernel-backend suffix, e.g.
 `bench_micro_quantum/BM_SingleQubitGate@avx2/10` — the `@<backend>` names a
@@ -29,6 +35,8 @@ Usage:
   tools/check_bench_regression.py --baseline BENCH_micro.json \
       --current fresh.json [--tolerance 0.25] [--calibrate] \
       [--baseline-sha SHA] [--report out.md]
+  tools/check_bench_regression.py --baseline BENCH_serve.json \
+      --current fresh.json --tolerance 3.0
 """
 import argparse
 import json
@@ -39,6 +47,9 @@ import sys
 # `<binary>/<BM_Name>@<backend>/<args...>` — the backend tag sits between
 # the benchmark name and its slash-separated argument suffix.
 BACKEND_RE = re.compile(r"^(?P<head>[^@]*)@(?P<backend>[^/]+)(?P<args>/.*)?$")
+
+# Per-entry counts fixed by the benchmark protocol, compared exactly.
+EXACT_FIELDS = ("requests", "unit_hits", "unit_misses")
 
 
 def split_backend(name):
@@ -73,6 +84,25 @@ def benchmarks_from(doc, baseline_sha=None, path=""):
                 if ns > 0}
     return {b["name"]: b["ns_per_op"] for b in doc.get("benchmarks", [])
             if b.get("ns_per_op", 0) > 0}
+
+
+def exact_counts_from(doc):
+    """Name → {field: count} for the EXACT_FIELDS an entry carries."""
+    return {b["name"]: {f: b[f] for f in EXACT_FIELDS if f in b}
+            for b in doc.get("benchmarks", [])}
+
+
+def count_mismatches(baseline_doc, current_doc):
+    """(name, field, baseline, current) for every exact count that differs
+    between same-named entries of the two documents."""
+    baseline = exact_counts_from(baseline_doc)
+    mismatches = []
+    for name, counts in sorted(exact_counts_from(current_doc).items()):
+        for field, value in sorted(counts.items()):
+            expected = baseline.get(name, {}).get(field)
+            if expected is not None and expected != value:
+                mismatches.append((name, field, expected, value))
+    return mismatches
 
 
 def pair_benchmarks(baseline, current):
@@ -126,9 +156,11 @@ def main():
                         help="write a markdown summary here")
     args = parser.parse_args()
 
-    baseline = benchmarks_from(load_document(args.baseline),
-                               args.baseline_sha, args.baseline)
-    current = benchmarks_from(load_document(args.current))
+    baseline_doc = load_document(args.baseline)
+    current_doc = load_document(args.current)
+    baseline = benchmarks_from(baseline_doc, args.baseline_sha, args.baseline)
+    current = benchmarks_from(current_doc)
+    mismatches = count_mismatches(baseline_doc, current_doc)
     pairs, skipped = pair_benchmarks(baseline, current)
     if not pairs:
         print("error: no comparable benchmark names", file=sys.stderr)
@@ -183,6 +215,10 @@ def main():
     if improvements:
         lines += ["", f"**{len(improvements)} improvement(s):** "
                   + ", ".join(f"{n} ({r:.2f}x)" for n, r in improvements)]
+    if mismatches:
+        lines += ["", f"**{len(mismatches)} count mismatch(es):** "
+                  + ", ".join(f"{n} {f} {b:g} → {c:g}"
+                              for n, f, b, c in mismatches)]
     report = "\n".join(lines) + "\n"
     print(report)
     if args.report:
@@ -192,6 +228,10 @@ def main():
     if regressions:
         print(f"FAIL: {len(regressions)} benchmark(s) regressed beyond "
               f"{args.tolerance:.0%}", file=sys.stderr)
+        return 1
+    if mismatches:
+        print(f"FAIL: {len(mismatches)} protocol count(s) differ from the "
+              "baseline", file=sys.stderr)
         return 1
     print("OK: no regressions beyond tolerance")
     return 0
