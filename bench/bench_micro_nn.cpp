@@ -1,10 +1,11 @@
 // Micro-benchmarks of the classical NN substrate (google-benchmark):
 // blocked GEMM at the search-space shapes, dense forward/backward vs width,
-// fused softmax-cross-entropy, the workspace vs reference training step, and
-// an end-to-end candidate training run — the wall-clock counterpart of the
-// analytic FLOPs model.
+// fused softmax-cross-entropy, the workspace vs reference training step (for
+// classical and hybrid models), and an end-to-end candidate training run —
+// the wall-clock counterpart of the analytic FLOPs model.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -180,19 +181,50 @@ void BM_CandidateTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_CandidateTrain)->Arg(10)->Arg(110);
 
-/// Same for the hybrid SEL(3,2) model at F=110 — quantifies the simulation
-/// overhead per training step relative to BM_ClassicalTrainStep.
+/// The hybrid sweep's real step shape: a Dense(60 -> 3) + Tanh ->
+/// QuantumLayer(q=3) -> Dense(3 -> 3) model at F=60, batch 8 (every
+/// sweep_hybrid winner is q=3, depth <= 3). Args: {ansatz (0 = BEL,
+/// 1 = SEL), depth}.
+std::unique_ptr<nn::Sequential> sweep_shape_hybrid(
+    const benchmark::State& state, util::Rng& rng) {
+  qnn::HybridConfig config;
+  config.features = 60;
+  config.qubits = 3;
+  config.depth = static_cast<std::size_t>(state.range(1));
+  config.ansatz = state.range(0) == 0 ? qnn::AnsatzKind::BasicEntangler
+                                      : qnn::AnsatzKind::StronglyEntangling;
+  config.encoding_scale = 3.141592653589793;
+  return qnn::build_hybrid_model(config, rng);
+}
+
+/// One hybrid training step on the zero-allocation workspace (the path
+/// train_classifier takes).
 void BM_HybridTrainStep(benchmark::State& state) {
   util::Rng rng{4};
-  qnn::HybridConfig config;
-  config.features = 110;
-  config.qubits = 3;
-  config.depth = 2;
-  config.ansatz = qnn::AnsatzKind::StronglyEntangling;
-  auto model = qnn::build_hybrid_model(config, rng);
+  auto model = sweep_shape_hybrid(state, rng);
+  auto workspace = nn::TrainWorkspace::compile(*model, 8, 8);
+  nn::Adam optimizer{1e-3};
+  const Tensor x = tensor::uniform(Shape{8, 60}, -1, 1, rng);
+  const std::vector<std::size_t> y{0, 1, 2, 0, 1, 2, 0, 1};
+  const std::vector<std::size_t> rows{0, 1, 2, 3, 4, 5, 6, 7};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workspace->train_step(x, y, rows, optimizer));
+  }
+}
+BENCHMARK(BM_HybridTrainStep)
+    ->Args({0, 1})
+    ->Args({0, 3})
+    ->Args({1, 1})
+    ->Args({1, 3});
+
+/// The same step through the reference Module loop — the before/after
+/// counterpart of BM_HybridTrainStep.
+void BM_HybridReferenceStep(benchmark::State& state) {
+  util::Rng rng{4};
+  auto model = sweep_shape_hybrid(state, rng);
   nn::Adam optimizer{1e-3};
   nn::SoftmaxCrossEntropy loss;
-  const Tensor x = tensor::uniform(Shape{8, 110}, -1, 1, rng);
+  const Tensor x = tensor::uniform(Shape{8, 60}, -1, 1, rng);
   const std::vector<std::size_t> y{0, 1, 2, 0, 1, 2, 0, 1};
   for (auto _ : state) {
     model->zero_grad();
@@ -203,7 +235,11 @@ void BM_HybridTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(result.value);
   }
 }
-BENCHMARK(BM_HybridTrainStep);
+BENCHMARK(BM_HybridReferenceStep)
+    ->Args({0, 1})
+    ->Args({0, 3})
+    ->Args({1, 1})
+    ->Args({1, 3});
 
 void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   util::Rng rng{5};

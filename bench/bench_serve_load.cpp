@@ -8,6 +8,11 @@
 //   hot      — the same config repeated (served from the result cache),
 //   overload — sleep jobs against a 1-executor, tiny-queue server; most
 //              requests must be shed with "rejected: overloaded".
+//
+// The three phases run kRepeats times, each time on fresh servers, and
+// every reported latency is the median over the repeats: one run of these
+// ms-scale phases spreads several-fold between identical runs on a shared
+// VM, the median of five much less.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +35,9 @@ namespace {
 
 using namespace qhdl;
 using Clock = std::chrono::steady_clock;
+
+/// Repeats of the whole phase sequence; the report takes their medians.
+constexpr std::size_t kRepeats = 5;
 
 search::SweepConfig tiny_study(std::uint64_t seed) {
   search::SweepConfig config = core::test_scale();
@@ -119,32 +127,53 @@ PhaseResult run_phase(std::uint16_t port, std::size_t total,
   return result;
 }
 
+/// Median-of-repeats entry for one phase. Request, hit and miss counts are
+/// fixed by the protocol, so every repeat must agree on them.
 bench::BenchEntry entry_for(const std::string& name,
-                            const PhaseResult& phase) {
+                            const std::vector<PhaseResult>& runs) {
+  std::vector<double> means, p50s, p99s, sheds;
+  for (const PhaseResult& run : runs) {
+    means.push_back(mean_ms(run.latencies_ms));
+    p50s.push_back(percentile(run.latencies_ms, 0.50));
+    p99s.push_back(percentile(run.latencies_ms, 0.99));
+    sheds.push_back(static_cast<double>(run.shed));
+    if (run.requests != runs.front().requests ||
+        run.unit_hits != runs.front().unit_hits ||
+        run.unit_misses != runs.front().unit_misses) {
+      std::fprintf(stderr,
+                   "bench_serve_load: %s: repeats disagree on request, hit "
+                   "or miss counts\n",
+                   name.c_str());
+    }
+  }
+  const PhaseResult& first = runs.front();
   bench::BenchEntry entry;
   entry.name = name;
-  entry.ns_per_op = mean_ms(phase.latencies_ms) * 1e6;
-  entry.extra["p50_ms"] = percentile(phase.latencies_ms, 0.50);
-  entry.extra["p99_ms"] = percentile(phase.latencies_ms, 0.99);
-  entry.extra["requests"] = static_cast<double>(phase.requests);
-  entry.extra["shed"] = static_cast<double>(phase.shed);
+  entry.ns_per_op = percentile(means, 0.50) * 1e6;
+  entry.extra["p50_ms"] = percentile(p50s, 0.50);
+  entry.extra["p99_ms"] = percentile(p99s, 0.50);
+  entry.extra["repeats"] = static_cast<double>(runs.size());
+  entry.extra["requests"] = static_cast<double>(first.requests);
+  const double shed = percentile(sheds, 0.50);
+  entry.extra["shed"] = shed;
   entry.extra["shed_rate"] =
-      phase.requests == 0
-          ? 0.0
-          : static_cast<double>(phase.shed) /
-                static_cast<double>(phase.requests);
+      first.requests == 0 ? 0.0
+                          : shed / static_cast<double>(first.requests);
   return entry;
 }
 
-void print_phase(const char* label, const PhaseResult& phase) {
-  std::printf("  %-10s %3zu req  p50 %8.2f ms  p99 %8.2f ms  shed %zu "
-              "(%.0f%%)  cache %zu/%zu hit/miss\n",
-              label, phase.requests, percentile(phase.latencies_ms, 0.50),
-              percentile(phase.latencies_ms, 0.99), phase.shed,
-              100.0 * static_cast<double>(phase.shed) /
-                  static_cast<double>(std::max<std::size_t>(phase.requests,
-                                                            1)),
-              phase.unit_hits, phase.unit_misses);
+void print_phase(const char* label, const std::vector<PhaseResult>& runs) {
+  std::vector<double> p50s;
+  for (const PhaseResult& run : runs) {
+    p50s.push_back(percentile(run.latencies_ms, 0.50));
+  }
+  const PhaseResult& first = runs.front();
+  std::printf("  %-10s %3zu req x %zu  p50 median %8.2f ms (min %.2f, max "
+              "%.2f)  shed %zu  cache %zu/%zu hit/miss\n",
+              label, first.requests, runs.size(), percentile(p50s, 0.50),
+              *std::min_element(p50s.begin(), p50s.end()),
+              *std::max_element(p50s.begin(), p50s.end()), first.shed,
+              first.unit_hits, first.unit_misses);
 }
 
 }  // namespace
@@ -167,52 +196,59 @@ int main(int argc, char** argv) {
   const std::size_t clients = static_cast<std::size_t>(cli.get_int("clients"));
   std::printf("bench_serve_load: %zu concurrent clients\n", clients);
 
-  // Phase 1+2: a roomy server (nothing sheds) for cold/hot latency.
-  serve::ServerConfig roomy;
-  roomy.executors = 2;
-  roomy.max_queue = 256;
-  serve::Server server{roomy};
-  server.start();
+  const auto cold_count = static_cast<std::size_t>(cli.get_int("cold"));
+  const auto hot_count = static_cast<std::size_t>(cli.get_int("hot"));
+  const auto overload_count =
+      static_cast<std::size_t>(cli.get_int("overload"));
+  std::vector<PhaseResult> cold, hot, overload;
+  for (std::size_t repeat = 0; repeat < kRepeats; ++repeat) {
+    // Phase 1+2: a fresh roomy server (nothing sheds, empty memory-only
+    // cache) for cold/hot latency.
+    serve::ServerConfig roomy;
+    roomy.executors = 2;
+    roomy.max_queue = 256;
+    serve::Server server{roomy};
+    server.start();
+    cold.push_back(run_phase(server.port(), cold_count, clients,
+                             [](std::size_t i) {
+                               return serve::make_study_request(
+                                   search::Family::Classical,
+                                   tiny_study(1000 + i));
+                             }));
+    hot.push_back(run_phase(server.port(), hot_count, clients,
+                            [](std::size_t) {
+                              return serve::make_study_request(
+                                  search::Family::Classical,
+                                  tiny_study(1000));
+                            }));
+    server.stop();
 
-  const PhaseResult cold = run_phase(
-      server.port(), static_cast<std::size_t>(cli.get_int("cold")), clients,
-      [](std::size_t i) {
-        return serve::make_study_request(search::Family::Classical,
-                                         tiny_study(1000 + i));
-      });
+    // Phase 3: a deliberately tiny server; most sleep jobs must shed.
+    serve::ServerConfig tiny;
+    tiny.executors = 1;
+    tiny.max_queue = 2;
+    serve::Server small{tiny};
+    small.start();
+    overload.push_back(run_phase(small.port(), overload_count, clients,
+                                 [](std::size_t) {
+                                   util::Json request = util::Json::object();
+                                   request["type"] = "sleep";
+                                   request["ms"] = 200;
+                                   return request;
+                                 }));
+    small.stop();
+  }
   print_phase("cold", cold);
-
-  const PhaseResult hot = run_phase(
-      server.port(), static_cast<std::size_t>(cli.get_int("hot")), clients,
-      [](std::size_t) {
-        return serve::make_study_request(search::Family::Classical,
-                                         tiny_study(1000));
-      });
   print_phase("hot", hot);
-  server.stop();
-
-  // Phase 3: a deliberately tiny server; most sleep jobs must shed.
-  serve::ServerConfig tiny;
-  tiny.executors = 1;
-  tiny.max_queue = 2;
-  serve::Server small{tiny};
-  small.start();
-  const PhaseResult overload = run_phase(
-      small.port(), static_cast<std::size_t>(cli.get_int("overload")),
-      clients, [](std::size_t) {
-        util::Json request = util::Json::object();
-        request["type"] = "sleep";
-        request["ms"] = 200;
-        return request;
-      });
   print_phase("overload", overload);
-  small.stop();
 
   bench::BenchEntry cold_entry = entry_for("serve_cold_study", cold);
-  cold_entry.extra["unit_misses"] = static_cast<double>(cold.unit_misses);
+  cold_entry.extra["unit_misses"] =
+      static_cast<double>(cold.front().unit_misses);
   bench::BenchEntry hot_entry = entry_for("serve_hot_cached", hot);
-  hot_entry.extra["unit_hits"] = static_cast<double>(hot.unit_hits);
-  hot_entry.extra["unit_misses"] = static_cast<double>(hot.unit_misses);
+  hot_entry.extra["unit_hits"] = static_cast<double>(hot.front().unit_hits);
+  hot_entry.extra["unit_misses"] =
+      static_cast<double>(hot.front().unit_misses);
   const bench::BenchEntry shed_entry =
       entry_for("serve_overload_shed", overload);
 

@@ -48,6 +48,31 @@ struct LayerInfo {
   std::size_t encoding_gate_count = 0;
 };
 
+/// A layer's stage inside a TrainWorkspace (nn/workspace.hpp): forward and
+/// backward over row-major buffers the workspace owns, for layers the
+/// workspace cannot fuse itself. Every buffer of the stage's own is sized
+/// when the stage is made, so a warmed-up stage never allocates. The
+/// arithmetic must be bit-identical to the layer's Module forward/backward.
+class LayerStage {
+ public:
+  virtual ~LayerStage() = default;
+
+  /// Training forward of `rows` (<= the stage's max batch) rows:
+  /// input [rows x inputs] -> output [rows x outputs]. Keeps what the
+  /// matching backward needs.
+  virtual void forward(const double* input, std::size_t rows,
+                       double* output) = 0;
+
+  /// Backward of the last forward: accumulates parameter gradients and,
+  /// unless `grad_input` is null (nothing consumes it), writes dL/d(input)
+  /// [rows x inputs].
+  virtual void backward(const double* grad_output, double* grad_input) = 0;
+
+  /// Inference forward of any number of rows; keeps nothing for backward.
+  virtual void infer(const double* input, std::size_t rows,
+                     double* output) = 0;
+};
+
 /// Base class for differentiable layers.
 class Module {
  public:
@@ -70,6 +95,17 @@ class Module {
 
   /// Human-readable one-liner, e.g. "Dense(10 -> 6)".
   virtual std::string name() const = 0;
+
+  /// Workspace hook: a stage that trains this layer on workspace-owned
+  /// buffers, for batches of up to `max_batch_rows` rows and inference
+  /// passes of up to `max_eval_rows`. The default, nullptr, means the layer
+  /// has none, and a model containing it trains on the Module path.
+  virtual std::unique_ptr<LayerStage> make_stage(std::size_t max_batch_rows,
+                                                 std::size_t max_eval_rows) {
+    (void)max_batch_rows;
+    (void)max_eval_rows;
+    return nullptr;
+  }
 
   void zero_grad();
 

@@ -101,10 +101,11 @@ TrainHistory train_classifier(Module& model, Optimizer& optimizer,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
-  // Workspace fast path: pure classical Sequential stacks train through a
-  // preallocated, fused, zero-steady-state-allocation pipeline. Hybrid and
-  // custom models — and everything on the reference backend — use the
-  // reference Module path below. Both produce bit-identical histories.
+  // Workspace fast path: Sequential stacks of Dense layers and layers with
+  // their own stage (hybrids' QuantumLayer) train through a preallocated,
+  // fused, zero-steady-state-allocation pipeline. Other models — and
+  // everything on the reference backend — use the reference Module path
+  // below. Both produce bit-identical histories.
   std::unique_ptr<TrainWorkspace> workspace;
   if (!fastpath::force_reference()) {
     if (auto* sequential = dynamic_cast<Sequential*>(&model)) {

@@ -31,75 +31,84 @@ void bias_act_rows(double* out, std::size_t rows, std::size_t cols,
 
 }  // namespace
 
-bool TrainWorkspace::supports(const Sequential& model) {
-  bool expect_dense = true;  // activations only allowed right after a Dense
-  std::size_t dense_count = 0;
-  for (std::size_t i = 0; i < model.layer_count(); ++i) {
-    const Module& layer = model.layer(i);
-    if (dynamic_cast<const Dense*>(&layer) != nullptr) {
-      expect_dense = false;
-      ++dense_count;
-      continue;
-    }
-    const bool is_activation = dynamic_cast<const Tanh*>(&layer) != nullptr ||
-                               dynamic_cast<const ReLU*>(&layer) != nullptr ||
-                               dynamic_cast<const Sigmoid*>(&layer) != nullptr;
-    if (!is_activation || expect_dense) return false;
-    expect_dense = true;  // at most one activation per Dense
-  }
-  return dense_count > 0;
-}
-
 std::unique_ptr<TrainWorkspace> TrainWorkspace::compile(
     Sequential& model, std::size_t max_batch_rows, std::size_t max_eval_rows) {
-  if (!supports(model) || max_batch_rows == 0) return nullptr;
+  if (max_batch_rows == 0) return nullptr;
 
   std::unique_ptr<TrainWorkspace> ws{new TrainWorkspace()};
+  std::vector<Stage>& stages = ws->stages_;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
     Module& layer = model.layer(i);
+    FusedActivation activation = FusedActivation::None;
+    if (dynamic_cast<Tanh*>(&layer) != nullptr) {
+      activation = FusedActivation::Tanh;
+    } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
+      activation = FusedActivation::ReLU;
+    } else if (dynamic_cast<Sigmoid*>(&layer) != nullptr) {
+      activation = FusedActivation::Sigmoid;
+    }
+    if (activation != FusedActivation::None) {
+      // Fuses into the Dense right before it, at most one per Dense.
+      if (stages.empty() || stages.back().dense == nullptr ||
+          stages.back().activation != FusedActivation::None) {
+        return nullptr;
+      }
+      stages.back().activation = activation;
+      continue;
+    }
+    Stage stage;
     if (auto* dense = dynamic_cast<Dense*>(&layer)) {
-      Stage stage;
       stage.dense = dense;
       stage.inputs = dense->inputs();
       stage.outputs = dense->outputs();
-      ws->stages_.push_back(stage);
-    } else if (dynamic_cast<Tanh*>(&layer) != nullptr) {
-      ws->stages_.back().activation = FusedActivation::Tanh;
-    } else if (dynamic_cast<ReLU*>(&layer) != nullptr) {
-      ws->stages_.back().activation = FusedActivation::ReLU;
     } else {
-      ws->stages_.back().activation = FusedActivation::Sigmoid;
+      stage.layer = layer.make_stage(max_batch_rows, max_eval_rows);
+      if (!stage.layer) return nullptr;
+      const LayerInfo info = layer.info();
+      stage.inputs = info.inputs;
+      stage.outputs = info.outputs;
     }
+    stages.push_back(std::move(stage));
   }
+  if (stages.empty()) return nullptr;
   // Widths must chain, otherwise the model would throw on forward anyway;
   // refuse to compile so the reference path reports the error.
-  for (std::size_t s = 1; s < ws->stages_.size(); ++s) {
-    if (ws->stages_[s].inputs != ws->stages_[s - 1].outputs) return nullptr;
+  for (std::size_t s = 1; s < stages.size(); ++s) {
+    if (stages[s].inputs != stages[s - 1].outputs) return nullptr;
   }
 
-  ws->features_ = ws->stages_.front().inputs;
-  ws->classes_ = ws->stages_.back().outputs;
+  ws->features_ = stages.front().inputs;
+  ws->classes_ = stages.back().outputs;
   ws->max_batch_rows_ = max_batch_rows;
   ws->max_eval_rows_ = max_eval_rows;
 
   ws->parameters_ = model.parameters();
   ws->x_batch_.resize(max_batch_rows * ws->features_);
   ws->y_batch_.resize(max_batch_rows);
-  ws->activations_.resize(ws->stages_.size());
-  ws->gradients_.resize(ws->stages_.size());
-  std::size_t max_width = ws->features_;
-  for (std::size_t s = 0; s < ws->stages_.size(); ++s) {
-    ws->activations_[s].resize(max_batch_rows * ws->stages_[s].outputs);
-    ws->gradients_[s].resize(max_batch_rows * ws->stages_[s].outputs);
-    max_width = std::max(max_width, ws->stages_[s].outputs);
+  ws->activations_.resize(stages.size());
+  ws->gradients_.resize(stages.size());
+  std::size_t max_width = 0;
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    ws->activations_[s].resize(max_batch_rows * stages[s].outputs);
+    ws->gradients_[s].resize(max_batch_rows * stages[s].outputs);
+    max_width = std::max(max_width, stages[s].outputs);
   }
   ws->eval_front_.resize(max_eval_rows * max_width);
   ws->eval_back_.resize(max_eval_rows * max_width);
   return ws;
 }
 
-void TrainWorkspace::stage_forward(const Stage& stage, const double* input,
-                                   std::size_t m, double* out) const {
+void TrainWorkspace::stage_forward(Stage& stage, const double* input,
+                                   std::size_t m, double* out,
+                                   bool training) {
+  if (stage.layer) {
+    if (training) {
+      stage.layer->forward(input, m, out);
+    } else {
+      stage.layer->infer(input, m, out);
+    }
+    return;
+  }
   tensor::gemm::dgemm(m, stage.outputs, stage.inputs, input, stage.inputs,
                       /*a_transposed=*/false, stage.dense->weight().value.data().data(),
                       stage.outputs, /*b_transposed=*/false, out, stage.outputs,
@@ -154,7 +163,8 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
   // Forward through every stage.
   const double* input = x_batch_.data();
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    stage_forward(stages_[s], input, m, activations_[s].data());
+    stage_forward(stages_[s], input, m, activations_[s].data(),
+                  /*training=*/true);
     input = activations_[s].data();
   }
 
@@ -168,6 +178,13 @@ double TrainWorkspace::train_step(const tensor::Tensor& x,
   for (std::size_t s = stages_.size(); s-- > 0;) {
     const Stage& stage = stages_[s];
     double* grad = gradients_[s].data();
+    if (stage.layer) {
+      // dX into the previous stage's gradient buffer; nothing consumes the
+      // first stage's.
+      stage.layer->backward(grad,
+                            s > 0 ? gradients_[s - 1].data() : nullptr);
+      continue;
+    }
     const double* out = activations_[s].data();
     const std::size_t count = m * stage.outputs;
     switch (stage.activation) {
@@ -243,7 +260,7 @@ double TrainWorkspace::evaluate_accuracy(const tensor::Tensor& x,
   double* front = eval_front_.data();
   double* back = eval_back_.data();
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    stage_forward(stages_[s], input, rows, front);
+    stage_forward(stages_[s], input, rows, front, /*training=*/false);
     input = front;
     std::swap(front, back);
   }

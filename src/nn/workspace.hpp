@@ -1,9 +1,11 @@
-// Preallocated training workspace for classical MLPs — the zero-allocation
-// hot path of the grid searches.
+// Preallocated training workspace — the zero-allocation hot path of the
+// grid searches, for classical MLPs and hybrids alike.
 //
-// TrainWorkspace::compile inspects a Sequential and, when it is a pure
-// classical stack (Dense layers with optional Tanh/ReLU/Sigmoid between
-// them), builds a fused execution plan over preallocated buffers:
+// TrainWorkspace::compile inspects a Sequential and builds a fused
+// execution plan over preallocated buffers. It takes two kinds of stage:
+// Dense layers, each optionally fused with one following Tanh/ReLU/Sigmoid,
+// and layers that bring their own stage through the Module::make_stage
+// hook (a QuantumLayer does; see nn::LayerStage). For the Dense stages:
 //
 //   * forward:  blocked GEMM (tensor/gemm.hpp) straight into a preallocated
 //     activation buffer, then one fused bias-add + activation pass;
@@ -16,6 +18,10 @@
 //     dX of the first layer, which nothing consumes, is skipped entirely;
 //   * step:     Optimizer::step over a cached parameter list (Adam's slot
 //     map allocates on the first step only).
+//
+// A layer stage reads the previous stage's output buffer and writes its
+// own; its backward writes dX into the previous stage's gradient buffer,
+// or skips it when the stage is first.
 //
 // After the first step (warm-up: optimizer slots, GEMM packing scratch) a
 // train_step performs ZERO heap allocations — enforced by the allocation-
@@ -41,14 +47,13 @@ namespace qhdl::nn {
 
 class TrainWorkspace {
  public:
-  /// True when `model` is a supported classical stack: a sequence of Dense
-  /// layers, each optionally followed by one Tanh/ReLU/Sigmoid.
-  static bool supports(const Sequential& model);
-
   /// Builds the workspace, preallocating every buffer for batches of up to
   /// `max_batch_rows` rows and eval passes of up to `max_eval_rows` rows.
-  /// Returns nullptr when the model is unsupported (hybrid models fall back
-  /// to the reference path).
+  /// Supported: Dense layers, each optionally followed by one
+  /// Tanh/ReLU/Sigmoid, and layers whose make_stage() returns a stage, with
+  /// chaining widths. Returns nullptr for anything else (a bare or doubled
+  /// activation, a Softmax head, a layer without a stage); such models
+  /// train on the reference Module path.
   static std::unique_ptr<TrainWorkspace> compile(Sequential& model,
                                                  std::size_t max_batch_rows,
                                                  std::size_t max_eval_rows);
@@ -74,8 +79,10 @@ class TrainWorkspace {
   /// Activation fused into a dense stage (None for the logits layer).
   enum class FusedActivation { None, Tanh, ReLU, Sigmoid };
 
+  /// A Dense stage (`dense` set) or a layer's own stage (`layer` set).
   struct Stage {
     Dense* dense = nullptr;
+    std::unique_ptr<LayerStage> layer;
     FusedActivation activation = FusedActivation::None;
     std::size_t inputs = 0;
     std::size_t outputs = 0;
@@ -83,9 +90,10 @@ class TrainWorkspace {
 
   TrainWorkspace() = default;
 
-  /// Forward for `m` rows of `input` through stage `s` into `out`.
-  void stage_forward(const Stage& stage, const double* input, std::size_t m,
-                     double* out) const;
+  /// Forward for `m` rows of `input` through `stage` into `out`; a layer
+  /// stage keeps its backward state only when `training`.
+  void stage_forward(Stage& stage, const double* input, std::size_t m,
+                     double* out, bool training);
 
   std::vector<Stage> stages_;
   std::vector<Parameter*> parameters_;
@@ -101,7 +109,9 @@ class TrainWorkspace {
   std::vector<std::vector<double>> activations_;
   std::vector<std::vector<double>> gradients_;
 
-  // Eval scratch: two ping-pong buffers of max_eval_rows x max width.
+  // Eval scratch: two ping-pong buffers of max_eval_rows x the widest stage
+  // output (stage 0 reads the input directly, so the input width never
+  // needs a buffer).
   std::vector<double> eval_front_;
   std::vector<double> eval_back_;
 };

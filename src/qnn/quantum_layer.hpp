@@ -8,10 +8,18 @@
 // dL/d(weights), so the hybrid network trains end-to-end exactly like the
 // paper's TensorFlow+PennyLane models.
 //
+// Exact execution (no noise, no shots) on a production backend has one
+// implementation, the layer's row stage: packed parameter rows, the forward
+// state φ and the adjoint buffers live in a quantum::BatchAdjointState
+// sized once, and backward sweeps from the φ its forward left behind. The
+// Module forward/backward wrap that stage, and make_stage() hands the same
+// stage to nn::TrainWorkspace. The reference backend and parameter-shift
+// gradients keep the executor's per-row path, the oracle.
+//
 // Circuit parameter layout: [inputs (q) | ansatz weights (weight_count)].
 #pragma once
 
-#include <functional>
+#include <memory>
 
 #include "nn/module.hpp"
 #include "qnn/ansatz.hpp"
@@ -55,6 +63,12 @@ class QuantumLayer : public nn::Module {
   nn::LayerInfo info() const override;
   std::string name() const override;
 
+  /// The row stage, when the layer runs exactly on the batched adjoint
+  /// path; nullptr otherwise (noise, shots, parameter-shift gradients, the
+  /// reference backend).
+  std::unique_ptr<nn::LayerStage> make_stage(
+      std::size_t max_batch_rows, std::size_t max_eval_rows) override;
+
   std::size_t qubits() const { return config_.qubits; }
   std::size_t depth() const { return config_.depth; }
   AnsatzKind ansatz() const { return config_.ansatz; }
@@ -66,6 +80,11 @@ class QuantumLayer : public nn::Module {
   std::vector<double> run_single(std::span<const double> angles) const;
 
  private:
+  class RowStage;
+
+  /// True when forward/backward run on the row stage.
+  bool row_stage_path() const;
+
   /// Builds [angles | weights] for one sample row.
   std::vector<double> pack_params(const tensor::Tensor& input,
                                   std::size_t row) const;
@@ -73,18 +92,27 @@ class QuantumLayer : public nn::Module {
   /// pack_params for every row of `input`, rows back to back.
   std::vector<double> pack_batch(const tensor::Tensor& input) const;
 
-  /// Splits [0, batch) into at most config_.threads contiguous chunks and
-  /// runs `work(begin, rows)` for each on the shared pool.
-  void for_each_chunk(
-      std::size_t batch,
-      const std::function<void(std::size_t, std::size_t)>& work) const;
-
   QuantumLayerConfig config_;
   quantum::Executor executor_;
   nn::Parameter weights_;
   util::Rng sample_rng_;  ///< drives finite-shot sampling when shots > 0
+  /// Holds the Module path's row stage, regrown to the largest batch seen.
+  /// The stage points back into its layer, so a copied or moved layer
+  /// starts without one.
+  struct StageSlot {
+    StageSlot();
+    StageSlot(const StageSlot&);
+    StageSlot& operator=(const StageSlot&);
+    ~StageSlot();
+    std::unique_ptr<RowStage> stage;
+  };
+  StageSlot module_stage_;
+  /// Input of the last forward on the per-row paths (noise, shots, oracle).
   tensor::Tensor cached_input_;
-  bool has_cached_input_ = false;
+  /// Set by forward, cleared by a failed backward: a backward needs one.
+  bool forward_pending_ = false;
+  /// Whether the pending forward ran on module_stage_.
+  bool pending_on_stage_ = false;
 };
 
 /// Builds the executor (circuit + Z observables) for a config; exposed so

@@ -1,5 +1,6 @@
 #include "quantum/adjoint_diff.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "quantum/exec_plan.hpp"
@@ -206,6 +207,35 @@ BatchAdjointVjpResult adjoint_vjp_batch(
         "adjoint_vjp_batch: got " + std::to_string(params.size()) +
         " params, need exactly " + std::to_string(batch_rows * param_stride));
   }
+
+  BatchAdjointVjpResult result;
+  result.batch = batch_rows;
+  result.observable_count = obs_count;
+  result.expectations.resize(batch_rows * obs_count);
+  BatchAdjointState state{circuit, observables, batch_rows, batch_rows};
+  state.forward(params, param_stride, batch_rows, result.expectations);
+  state.sweep(upstream_weights);
+  const std::span<const double> gradient = state.gradient();
+  result.gradient.assign(gradient.begin(), gradient.end());
+  return result;
+}
+
+BatchAdjointState::BatchAdjointState(const Circuit& circuit,
+                                     std::span<const Observable> observables,
+                                     std::size_t max_rows,
+                                     std::size_t max_sweep_rows)
+    : circuit_(&circuit),
+      observable_count_(observables.size()),
+      parameter_count_(circuit.parameter_count()),
+      phi_{circuit.num_qubits(), max_rows},
+      lambda_{circuit.num_qubits(), std::max<std::size_t>(1, max_sweep_rows)},
+      mu_{circuit.num_qubits(), std::max<std::size_t>(1, max_sweep_rows)},
+      row_inner_(max_sweep_rows),
+      gradient_(max_sweep_rows * circuit.parameter_count()) {
+  // Each diagonal entry matches expectation()'s fast-path sign_weight, so
+  // the per-row expectations are bit-identical to the scalar path.
+  const std::size_t dimension = phi_.dimension();
+  diagonals_.reserve(observables.size() * dimension);
   for (const Observable& obs : observables) {
     if (!obs.is_diagonal()) {
       throw std::invalid_argument(
@@ -213,110 +243,139 @@ BatchAdjointVjpResult adjoint_vjp_batch(
           "fall back to per-row adjoint_vjp for " +
           obs.to_string());
     }
+    const std::vector<double> diagonal = obs.diagonal(circuit.num_qubits());
+    diagonals_.insert(diagonals_.end(), diagonal.begin(), diagonal.end());
   }
+}
 
-  const std::size_t num_qubits = circuit.num_qubits();
-  const std::size_t dimension = std::size_t{1} << num_qubits;
-
-  BatchAdjointVjpResult result;
-  result.batch = batch_rows;
-  result.observable_count = obs_count;
-
-  // Forward: all rows at once through the SoA kernels.
-  StateVectorBatch phi{num_qubits, batch_rows};
-  circuit.run_batch(phi, params, param_stride);
-
-  // Each diagonal entry matches expectation()'s fast-path sign_weight, so
-  // the per-row expectations below are bit-identical to the scalar path.
-  std::vector<std::vector<double>> diagonals;
-  diagonals.reserve(obs_count);
-  for (const Observable& obs : observables) {
-    diagonals.push_back(obs.diagonal(num_qubits));
+void BatchAdjointState::forward(std::span<const double> params,
+                                std::size_t stride, std::size_t rows,
+                                std::span<double> expectations) {
+  if (rows == 0 || stride < parameter_count_ ||
+      params.size() != rows * stride) {
+    throw std::invalid_argument(
+        "BatchAdjointState::forward: need rows >= 1 and exactly rows * "
+        "stride params with stride >= the circuit's parameters");
   }
+  if (!expectations.empty() &&
+      expectations.size() != rows * observable_count_) {
+    throw std::invalid_argument(
+        "BatchAdjointState::forward: expectations size must be rows * "
+        "observables");
+  }
+  holds_state_ = false;
+  angles_.load(params, stride, rows, parameter_count_);
+  phi_.reset(rows);
+  circuit_->run_batch(phi_, angles_);
+  rows_ = rows;
+  holds_state_ = true;
+  if (expectations.empty()) return;
 
-  result.expectations.assign(batch_rows * obs_count, 0.0);
-  {
-    const std::span<const Complex> amps = phi.amplitudes();
-    for (std::size_t i = 0; i < dimension; ++i) {
-      for (std::size_t b = 0; b < batch_rows; ++b) {
-        const double p = std::norm(amps[i * batch_rows + b]);
-        for (std::size_t k = 0; k < obs_count; ++k) {
-          result.expectations[b * obs_count + k] += diagonals[k][i] * p;
-        }
+  std::fill(expectations.begin(), expectations.end(), 0.0);
+  const std::size_t dimension = phi_.dimension();
+  const std::size_t obs_count = observable_count_;
+  const std::span<const Complex> amps = phi_.amplitudes();
+  for (std::size_t i = 0; i < dimension; ++i) {
+    for (std::size_t b = 0; b < rows; ++b) {
+      const double p = std::norm(amps[i * rows + b]);
+      for (std::size_t k = 0; k < obs_count; ++k) {
+        expectations[b * obs_count + k] += diagonals_[k * dimension + i] * p;
       }
     }
+  }
+}
+
+void BatchAdjointState::sweep(std::span<const double> upstream) {
+  if (!holds_state_) {
+    throw std::logic_error(
+        "BatchAdjointState::sweep: no forward state held (a sweep consumes "
+        "the forward's state; run forward again)");
+  }
+  // Consumed from here on, even if the sweep throws part-way.
+  holds_state_ = false;
+  const std::size_t rows = rows_;
+  const std::size_t obs_count = observable_count_;
+  if (upstream.size() != rows * obs_count) {
+    throw std::invalid_argument(
+        "BatchAdjointState::sweep: upstream size must be rows * "
+        "observables");
+  }
+  const std::size_t dimension = phi_.dimension();
+  if (row_inner_.size() < rows) row_inner_.resize(rows);
+  if (gradient_.size() < rows * parameter_count_) {
+    gradient_.resize(rows * parameter_count_);
   }
 
   // Co-state seed: λ_b = Σ_k w_{b,k} (O_k ψ_b), accumulated term-by-term in
   // the same order as the scalar weighted_observable_state (k outer,
   // ascending i, w == 0 terms skipped) — bit-identical per row for the
   // single-term observables the hybrid layer emits.
-  StateVectorBatch lambda{num_qubits, batch_rows};
+  lambda_.reset(rows);
   {
-    const std::span<const Complex> amps = phi.amplitudes();
-    const std::span<Complex> lam = lambda.amplitudes();
-    for (auto& a : lam) a = Complex{0.0, 0.0};  // ctor seeds amplitude 0 to 1
+    const std::span<const Complex> amps = phi_.amplitudes();
+    const std::span<Complex> lam = lambda_.amplitudes();
+    std::fill(lam.begin(), lam.end(), Complex{0.0, 0.0});
     for (std::size_t k = 0; k < obs_count; ++k) {
-      const std::vector<double>& diag = diagonals[k];
+      const double* diag = diagonals_.data() + k * dimension;
       for (std::size_t i = 0; i < dimension; ++i) {
-        for (std::size_t b = 0; b < batch_rows; ++b) {
-          const double w = upstream_weights[b * obs_count + k];
+        for (std::size_t b = 0; b < rows; ++b) {
+          const double w = upstream[b * obs_count + k];
           if (w == 0.0) continue;
-          lam[i * batch_rows + b] += w * (diag[i] * amps[i * batch_rows + b]);
+          lam[i * rows + b] += w * (diag[i] * amps[i * rows + b]);
         }
       }
     }
   }
 
   // Reverse sweep, batched: peel φ, form μ = (dU/dθ)φ, take per-row
-  // Re⟨λ|μ⟩, pull λ back.
-  const std::size_t parameter_count = circuit.parameter_count();
-  result.gradient.assign(batch_rows * parameter_count, 0.0);
-  StateVectorBatch mu{num_qubits, batch_rows};
-  std::vector<double> angles(batch_rows);
-  std::vector<double> row_inner(batch_rows);
-
-  const auto gather_angles =
-      [&](const auto& op) -> std::span<const double> {
-    if (!op_has_param(op)) {
-      angles[0] = op.fixed_angle;
-      return {angles.data(), 1};
+  // Re⟨λ|μ⟩, pull λ back. RX/RY/RZ read the forward's trig table: the
+  // inverse is the rotation with the negated sine.
+  const std::size_t parameter_count = parameter_count_;
+  std::fill_n(gradient_.begin(), rows * parameter_count, 0.0);
+  mu_.reset(rows);
+  const std::span<double> row_inner{row_inner_.data(), rows};
+  const auto accumulate = [&](std::size_t slot) {
+    lambda_.inner_products_real(mu_, row_inner);
+    for (std::size_t b = 0; b < rows; ++b) {
+      gradient_[b * parameter_count + slot] += 2.0 * row_inner[b];
     }
-    bool shared = true;
-    for (std::size_t b = 0; b < batch_rows; ++b) {
-      angles[b] = params[b * param_stride + op_param(op)];
-      shared = shared && angles[b] == angles[0];
-    }
-    return shared ? std::span<const double>{angles.data(), 1}
-                  : std::span<const double>{angles};
   };
-
-  const auto sweep = [&](auto ops) {
+  const auto sweep_ops = [&](auto ops) {
     for (std::size_t idx = ops.size(); idx-- > 0;) {
       const auto& op = ops[idx];
-      const std::span<const double> op_angles = gather_angles(op);
-      apply_gate_inverse_batch(phi, op.type, op_angles, op.wire0, op.wire1);
-
-      if (op_has_param(op)) {
-        mu.assign_from(phi);
-        apply_gate_derivative_batch(mu, op.type, op_angles, op.wire0,
-                                    op.wire1);
-        lambda.inner_products_real(mu, row_inner);
-        for (std::size_t b = 0; b < batch_rows; ++b) {
-          result.gradient[b * parameter_count + op_param(op)] +=
-              2.0 * row_inner[b];
-        }
+      if (!op_has_param(op)) {
+        const std::span<const double> fixed{&op.fixed_angle, 1};
+        apply_gate_inverse_batch(phi_, op.type, fixed, op.wire0, op.wire1);
+        apply_gate_inverse_batch(lambda_, op.type, fixed, op.wire0,
+                                 op.wire1);
+        continue;
       }
-
-      apply_gate_inverse_batch(lambda, op.type, op_angles, op.wire0,
-                               op.wire1);
+      const std::size_t slot = op_param(op);
+      if (is_half_angle_rotation(op.type)) {
+        const auto c = angles_.cos_half(slot);
+        const auto s = angles_.sin_half(slot);
+        const auto neg_s = angles_.neg_sin_half(slot);
+        apply_rotation_batch(phi_, op.type, c, neg_s, op.wire0);
+        mu_.assign_from(phi_);
+        apply_rotation_derivative_batch(mu_, op.type, c, s, op.wire0);
+        accumulate(slot);
+        apply_rotation_batch(lambda_, op.type, c, neg_s, op.wire0);
+      } else {
+        const auto angles = angles_.angles(slot);
+        apply_gate_inverse_batch(phi_, op.type, angles, op.wire0, op.wire1);
+        mu_.assign_from(phi_);
+        apply_gate_derivative_batch(mu_, op.type, angles, op.wire0,
+                                    op.wire1);
+        accumulate(slot);
+        apply_gate_inverse_batch(lambda_, op.type, angles, op.wire0,
+                                 op.wire1);
+      }
     }
   };
   // The flat plan stream is the op list minus exactly-cancelled involution
   // pairs (bit-identical, and never parameterized), so gradients match a
   // sweep over the raw op list exactly.
-  with_sweep_ops(circuit, sweep);
-  return result;
+  with_sweep_ops(*circuit_, sweep_ops);
 }
 
 std::vector<std::vector<double>> adjoint_jacobian(

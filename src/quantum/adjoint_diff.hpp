@@ -15,11 +15,14 @@
 // QuantumLayer calls in its backward pass.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "quantum/circuit.hpp"
+#include "quantum/gates.hpp"
 #include "quantum/observable.hpp"
+#include "quantum/statevector_batch.hpp"
 
 namespace qhdl::quantum {
 
@@ -83,13 +86,66 @@ struct BatchAdjointVjpResult {
   std::vector<double> gradient;      ///< [b * parameter_count + p]
 };
 
-/// One reverse sweep over a whole SoA batch of rows. Row b reads its circuit
+/// The batched adjoint's working set, sized once: the forward state φ, the
+/// co-state λ, the derivative scratch μ, the angle/trig table and the
+/// gradient rows. forward() evolves φ = U|0⟩ for a batch of parameter rows
+/// and reads off the expectations; sweep() then runs the reverse pass
+/// seeded from that φ — no second forward — and consumes it. Once warm
+/// (the first forward and sweep at the largest row counts), neither
+/// allocates.
+///
+/// Requires every observable to be diagonal (all-Z) so the co-state seed is
+/// a per-amplitude multiply — the hybrid layer's ⟨Z_w⟩ heads satisfy this;
+/// callers with X/Y observables fall back to the per-row adjoint_vjp.
+/// Throws std::invalid_argument otherwise. The circuit must outlive the
+/// state.
+class BatchAdjointState {
+ public:
+  /// Sized for forwards of up to `max_rows` rows and sweeps of up to
+  /// `max_sweep_rows` (0 for a forward-only state).
+  BatchAdjointState(const Circuit& circuit,
+                    std::span<const Observable> observables,
+                    std::size_t max_rows, std::size_t max_sweep_rows);
+
+  /// Evolves φ for `rows` parameter rows (row b at params[b * stride]) and
+  /// writes ⟨O_k⟩ of row b to expectations[b * K + k]; an empty
+  /// `expectations` skips the readout.
+  void forward(std::span<const double> params, std::size_t stride,
+               std::size_t rows, std::span<double> expectations);
+
+  /// True between a forward() and the sweep() that consumes its φ.
+  bool holds_forward_state() const { return holds_state_; }
+
+  /// Reverse sweep from the held φ with upstream weights
+  /// upstream[b * K + k]; afterwards gradient() holds dL/dθ of row b at
+  /// [b * P + p] (P = circuit parameters). Throws std::logic_error when no
+  /// forward state is held: a consumed φ is never swept twice.
+  void sweep(std::span<const double> upstream);
+
+  /// The last sweep's gradient rows.
+  std::span<const double> gradient() const {
+    return {gradient_.data(),
+            std::min(gradient_.size(), rows_ * parameter_count_)};
+  }
+
+ private:
+  const Circuit* circuit_;
+  std::size_t observable_count_;
+  std::size_t parameter_count_;
+  std::vector<double> diagonals_;  ///< [k * 2^q + i]
+  BatchAngleTable angles_;
+  StateVectorBatch phi_, lambda_, mu_;
+  std::vector<double> row_inner_;
+  std::vector<double> gradient_;
+  std::size_t rows_ = 0;
+  bool holds_state_ = false;
+};
+
+/// One reverse sweep over a whole SoA batch of rows: a BatchAdjointState
+/// forward, then its sweep from that state. Row b reads its circuit
 /// parameters from params[b*param_stride, (b+1)*param_stride) and its
 /// upstream weights from upstream_weights[b*K, (b+1)*K) with
-/// K = observables.size(). Requires every observable to be diagonal
-/// (all-Z) so the co-state seed is a per-amplitude multiply — the hybrid
-/// layer's ⟨Z_w⟩ heads satisfy this; callers with X/Y observables fall back
-/// to the per-row adjoint_vjp. Throws std::invalid_argument otherwise.
+/// K = observables.size(). Same diagonal-observable requirement.
 BatchAdjointVjpResult adjoint_vjp_batch(
     const Circuit& circuit, std::span<const double> params,
     std::size_t param_stride, std::size_t batch_rows,

@@ -191,28 +191,33 @@ void Circuit::run_batch(StateVectorBatch& batch,
                                 " params, need exactly " +
                                 std::to_string(rows * param_stride));
   }
+  thread_local BatchAngleTable angles;
+  angles.load(params, param_stride, rows, parameter_count_);
+  run_batch(batch, angles);
+}
+
+void Circuit::run_batch(StateVectorBatch& batch,
+                        const BatchAngleTable& angles) const {
+  if (batch.num_qubits() != num_qubits_ || angles.rows() != batch.batch() ||
+      angles.slots() != parameter_count_) {
+    throw std::invalid_argument(
+        "Circuit::run_batch: angle table or batch does not match the "
+        "circuit");
+  }
   if (kernels::force_generic()) {
     // Reference backend: one batched kernel per op, mirroring the scalar
     // per-op loop row by row.
-    thread_local std::vector<double> angles;
-    angles.resize(rows);
     for (const Op& op : ops_) {
-      std::span<const double> op_angles{angles.data(), 1};
-      if (!op.param_index.has_value()) {
-        angles[0] = op.fixed_angle;
-      } else {
-        bool shared = true;
-        for (std::size_t b = 0; b < rows; ++b) {
-          angles[b] = params[b * param_stride + *op.param_index];
-          shared = shared && angles[b] == angles[0];
-        }
-        if (!shared) op_angles = angles;
-      }
-      apply_gate_batch(batch, op.type, op_angles, op.wire0, op.wire1);
+      const std::int64_t slot =
+          op.param_index.has_value()
+              ? static_cast<std::int64_t>(*op.param_index)
+              : -1;
+      apply_gate_batch(batch, op.type, angles, slot, op.fixed_angle,
+                       op.wire0, op.wire1);
     }
     return;
   }
-  compiled_plan()->run_batch(batch, params, param_stride);
+  compiled_plan()->run_batch(batch, angles);
 }
 
 StateVector Circuit::execute(std::span<const double> params) const {

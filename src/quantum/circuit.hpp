@@ -89,10 +89,15 @@ class Circuit {
   /// angle is identical across rows (fixed angles, shared ansatz weights)
   /// run as one shared kernel with a single sin/cos evaluation; per-row
   /// angles (data encoding) use the per-row kernel variants. Executes the
-  /// cached plan's flat op stream, or the op list one op at a time on the
+  /// cached plan's fused op stream, or the op list one op at a time on the
   /// reference backend.
   void run_batch(StateVectorBatch& batch, std::span<const double> params,
                  std::size_t param_stride) const;
+
+  /// Same, on angles already loaded into a table (one row per batch row,
+  /// one slot per circuit parameter) — the entry point for callers that
+  /// reuse the table's trig after the forward (the batched adjoint).
+  void run_batch(StateVectorBatch& batch, const BatchAngleTable& angles) const;
 
   /// The circuit's compiled plan (never null), memoized per instance and
   /// shared through the process-wide plan cache. Thread-safe; builder

@@ -363,75 +363,68 @@ void ExecutionPlan::run(StateVector& state,
 }
 
 void ExecutionPlan::run_batch(StateVectorBatch& batch,
-                              std::span<const double> params,
-                              std::size_t param_stride) const {
+                              const BatchAngleTable& angles) const {
   // Executes the FUSED stream — the same ops ExecutionPlan::run dispatches
   // — so every batch row reproduces the scalar compiled path bit-for-bit
   // and the fused chains feed the batched SIMD kernels (DESIGN.md §14).
-  // Parameterized gates detect shared-vs-per-row angles at runtime; a
-  // chain whose angles are all row-independent falls back to one 2x2
-  // product per row, built in run()'s left-multiplication order.
+  // A chain whose angles all agree across rows is one shared 2x2 product;
+  // otherwise each row gets its own product, built in run()'s
+  // left-multiplication order from factors made once per batch for the
+  // row-independent gates and once per row for the others.
+  if (angles.rows() != batch.batch() ||
+      angles.slots() != parameter_count_) {
+    throw std::invalid_argument(
+        "ExecutionPlan::run_batch: angle table does not match the batch");
+  }
   const std::size_t rows = batch.batch();
-  thread_local std::vector<double> angles;
+  thread_local std::vector<Mat2> factors;
   thread_local std::vector<Mat2> row_mats;
-  angles.resize(rows);
-  const auto gather = [&](std::int64_t slot, double fixed_angle) -> bool {
-    // Fills `angles`; true when every row shares one angle.
-    if (slot < 0) {
-      angles[0] = fixed_angle;
-      return true;
+  // Factor of chain gate `g` for table entry `entry` (0 when shared).
+  const auto factor = [&](const ChainGate& g, std::size_t entry) {
+    if (g.param_slot < 0) return gates::matrix_for(g.type, g.fixed_angle);
+    const auto slot = static_cast<std::size_t>(g.param_slot);
+    if (is_half_angle_rotation(g.type)) {
+      return gates::rotation_matrix(g.type, angles.cos_half(slot)[entry],
+                                    angles.sin_half(slot)[entry]);
     }
-    const std::size_t index = static_cast<std::size_t>(slot);
-    bool shared = true;
-    for (std::size_t b = 0; b < rows; ++b) {
-      angles[b] = params[b * param_stride + index];
-      shared = shared && angles[b] == angles[0];
-    }
-    return shared;
+    return gates::matrix_for(g.type, angles.angles(slot)[entry]);
+  };
+  const auto per_row = [&](const ChainGate& g) {
+    return g.param_slot >= 0 &&
+           !angles.shared(static_cast<std::size_t>(g.param_slot));
   };
   for (const FusedOp& op : fused_ops_) {
     switch (op.kind) {
       case FusedOp::Kind::Single:
-      case FusedOp::Kind::TwoQubit: {
-        const bool shared = gather(op.param_slot, op.fixed_angle);
-        apply_gate_batch(batch, op.type,
-                         shared ? std::span<const double>{angles.data(), 1}
-                                : std::span<const double>{angles},
-                         op.wire0, op.wire1);
+      case FusedOp::Kind::TwoQubit:
+        apply_gate_batch(batch, op.type, angles, op.param_slot,
+                         op.fixed_angle, op.wire0, op.wire1);
         break;
-      }
       case FusedOp::Kind::Chain: {
         const ChainGate* gates = &chain_gates_[op.chain_begin];
         bool all_shared = true;
-        for (std::uint32_t i = 0; i < op.chain_length && all_shared; ++i) {
-          if (gates[i].param_slot < 0) continue;
-          const std::size_t index =
-              static_cast<std::size_t>(gates[i].param_slot);
-          const double first = params[index];
-          for (std::size_t b = 1; b < rows && all_shared; ++b) {
-            all_shared = params[b * param_stride + index] == first;
+        factors.resize(op.chain_length);
+        for (std::uint32_t i = 0; i < op.chain_length; ++i) {
+          if (per_row(gates[i])) {
+            all_shared = false;
+          } else {
+            factors[i] = factor(gates[i], 0);
           }
         }
-        const auto chain_angle = [&](std::uint32_t i, std::size_t b) {
-          return gates[i].param_slot < 0
-                     ? gates[i].fixed_angle
-                     : params[b * param_stride +
-                              static_cast<std::size_t>(gates[i].param_slot)];
-        };
         if (all_shared) {
-          Mat2 matrix = gates::matrix_for(gates[0].type, chain_angle(0, 0));
+          Mat2 matrix = factors[0];
           for (std::uint32_t i = 1; i < op.chain_length; ++i) {
-            matrix =
-                gates::matrix_for(gates[i].type, chain_angle(i, 0)) * matrix;
+            matrix = factors[i] * matrix;
           }
           batch.apply_single_qubit(matrix, op.wire0);
         } else {
           row_mats.resize(rows);
           for (std::size_t b = 0; b < rows; ++b) {
-            Mat2 matrix = gates::matrix_for(gates[0].type, chain_angle(0, b));
+            Mat2 matrix = per_row(gates[0]) ? factor(gates[0], b) : factors[0];
             for (std::uint32_t i = 1; i < op.chain_length; ++i) {
-              matrix = gates::matrix_for(gates[i].type, chain_angle(i, b)) *
-                       matrix;
+              matrix =
+                  (per_row(gates[i]) ? factor(gates[i], b) : factors[i]) *
+                  matrix;
             }
             row_mats[b] = matrix;
           }

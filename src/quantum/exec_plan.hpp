@@ -36,6 +36,7 @@
 
 namespace qhdl::quantum {
 
+class BatchAngleTable;
 class Circuit;
 class StateVectorBatch;
 
@@ -146,9 +147,10 @@ class ExecutionPlan {
 
   /// Executes the FUSED stream with the batched SoA kernels (DESIGN.md
   /// §14): the same fused ops run() dispatches, so every batch row is
-  /// bit-identical to the scalar compiled path.
-  void run_batch(StateVectorBatch& batch, std::span<const double> params,
-                 std::size_t param_stride) const;
+  /// bit-identical to the scalar compiled path. Angles and their trig come
+  /// from `angles`, loaded from the batch's parameter rows.
+  void run_batch(StateVectorBatch& batch,
+                 const BatchAngleTable& angles) const;
 
  private:
   friend std::shared_ptr<const ExecutionPlan> compile_circuit(const Circuit&);

@@ -5,7 +5,6 @@
 
 #include "quantum/kernels.hpp"
 #include "quantum/parameter_shift.hpp"
-#include "quantum/statevector_batch.hpp"
 
 namespace qhdl::quantum {
 
@@ -86,25 +85,9 @@ std::vector<double> Executor::run_batch(std::span<const double> params,
     }
     return expectations;
   }
-  StateVectorBatch batch{circuit_.num_qubits(), batch_rows};
-  circuit_.run_batch(batch, params, param_stride);
-
-  std::vector<double> expectations(batch_rows * obs_count, 0.0);
-  const std::size_t dimension = batch.dimension();
-  const std::span<const Complex> amps = batch.amplitudes();
-  std::vector<std::vector<double>> diagonals;
-  diagonals.reserve(obs_count);
-  for (const Observable& obs : observables_) {
-    diagonals.push_back(obs.diagonal(circuit_.num_qubits()));
-  }
-  for (std::size_t i = 0; i < dimension; ++i) {
-    for (std::size_t b = 0; b < batch_rows; ++b) {
-      const double p = std::norm(amps[i * batch_rows + b]);
-      for (std::size_t k = 0; k < obs_count; ++k) {
-        expectations[b * obs_count + k] += diagonals[k][i] * p;
-      }
-    }
-  }
+  std::vector<double> expectations(batch_rows * obs_count);
+  BatchAdjointState state{circuit_, observables_, batch_rows, 0};
+  state.forward(params, param_stride, batch_rows, expectations);
   return expectations;
 }
 

@@ -21,6 +21,7 @@ class Executor {
 
   const Circuit& circuit() const { return circuit_; }
   std::size_t observable_count() const { return observables_.size(); }
+  std::span<const Observable> observables() const { return observables_; }
   std::size_t parameter_count() const { return circuit_.parameter_count(); }
   DiffMethod diff_method() const { return diff_method_; }
 

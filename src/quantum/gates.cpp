@@ -116,21 +116,35 @@ Mat2 t() {
   return {kOne, kZero, kZero, std::exp(kI * (std::numbers::pi / 4.0))};
 }
 
+Mat2 rotation_matrix(GateType type, double c, double s) {
+  switch (type) {
+    case GateType::RX:
+      return {Complex{c, 0}, Complex{0, -s}, Complex{0, -s}, Complex{c, 0}};
+    case GateType::RY:
+      return {Complex{c, 0}, Complex{-s, 0}, Complex{s, 0}, Complex{c, 0}};
+    case GateType::RZ:
+      // exp(∓iθ/2) = (cos θ/2, ∓sin θ/2): the complex exponential of a pure
+      // imaginary argument is exactly this (cos, sin) pair.
+      return {Complex{c, -s}, kZero, kZero, Complex{c, s}};
+    default:
+      throw std::invalid_argument("rotation_matrix: not RX/RY/RZ: " +
+                                  gate_name(type));
+  }
+}
+
 Mat2 rx(double theta) {
-  const double c = std::cos(theta / 2.0);
-  const double sn = std::sin(theta / 2.0);
-  return {Complex{c, 0}, Complex{0, -sn}, Complex{0, -sn}, Complex{c, 0}};
+  return rotation_matrix(GateType::RX, std::cos(theta / 2.0),
+                         std::sin(theta / 2.0));
 }
 
 Mat2 ry(double theta) {
-  const double c = std::cos(theta / 2.0);
-  const double sn = std::sin(theta / 2.0);
-  return {Complex{c, 0}, Complex{-sn, 0}, Complex{sn, 0}, Complex{c, 0}};
+  return rotation_matrix(GateType::RY, std::cos(theta / 2.0),
+                         std::sin(theta / 2.0));
 }
 
 Mat2 rz(double theta) {
-  return {std::exp(-kI * (theta / 2.0)), kZero, kZero,
-          std::exp(kI * (theta / 2.0))};
+  return rotation_matrix(GateType::RZ, std::cos(theta / 2.0),
+                         std::sin(theta / 2.0));
 }
 
 Mat2 phase_shift(double theta) {
@@ -510,6 +524,7 @@ namespace {
 /// path allocates at most once per thread, not once per gate.
 struct BatchScratch {
   std::vector<double> c, s;
+  std::vector<double> dc, ds;  ///< derivative kernel trig (from c, s)
   std::vector<Complex> d0, d1;
   std::vector<Mat2> m_even, m_odd;
 };
@@ -536,6 +551,18 @@ void check_angles_span(const StateVectorBatch& batch, GateType type,
   }
 }
 
+/// c[b] = cos(θ_b/2), s[b] = sin(θ_b/2) — the one trig formula every
+/// batched RX / RY / RZ kernel argument derives from.
+void half_angle_trig(std::span<const double> angles, std::vector<double>& c,
+                     std::vector<double>& s) {
+  c.resize(angles.size());
+  s.resize(angles.size());
+  for (std::size_t b = 0; b < angles.size(); ++b) {
+    c[b] = std::cos(angles[b] / 2.0);
+    s[b] = std::sin(angles[b] / 2.0);
+  }
+}
+
 /// Shared-angle dispatch: mirror of apply_gate_specialized over the batch.
 void apply_gate_batch_shared(StateVectorBatch& batch, GateType type,
                              double theta, std::size_t wire0,
@@ -554,23 +581,17 @@ void apply_gate_batch_shared(StateVectorBatch& batch, GateType type,
       batch.apply_diagonal(kOneu, std::exp(kIu * (std::numbers::pi / 4.0)),
                            wire0);
       return;
+    case GateType::RX:
+    case GateType::RY:
     case GateType::RZ: {
       const double c = std::cos(theta / 2.0);
       const double s = std::sin(theta / 2.0);
-      batch.apply_diagonal(Complex{c, -s}, Complex{c, s}, wire0);
+      apply_rotation_batch(batch, type, {&c, 1}, {&s, 1}, wire0);
       return;
     }
     case GateType::PhaseShift:
       batch.apply_diagonal(kOneu, Complex{std::cos(theta), std::sin(theta)},
                            wire0);
-      return;
-    case GateType::RX:
-      batch.apply_rx_fast(std::cos(theta / 2.0), std::sin(theta / 2.0),
-                          wire0);
-      return;
-    case GateType::RY:
-      batch.apply_ry_fast(std::cos(theta / 2.0), std::sin(theta / 2.0),
-                          wire0);
       return;
     case GateType::CNOT:
       require_second_wire_batch(type, wire1);
@@ -613,32 +634,11 @@ void apply_gate_batch_per_row(StateVectorBatch& batch, GateType type,
   const std::size_t rows = batch.batch();
   switch (type) {
     case GateType::RX:
-    case GateType::RY: {
-      scratch.c.resize(rows);
-      scratch.s.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.c[b] = std::cos(angles[b] / 2.0);
-        scratch.s[b] = std::sin(angles[b] / 2.0);
-      }
-      if (type == GateType::RX) {
-        batch.apply_rx_fast_per_row(scratch.c, scratch.s, wire0);
-      } else {
-        batch.apply_ry_fast_per_row(scratch.c, scratch.s, wire0);
-      }
+    case GateType::RY:
+    case GateType::RZ:
+      half_angle_trig(angles, scratch.c, scratch.s);
+      apply_rotation_batch(batch, type, scratch.c, scratch.s, wire0);
       return;
-    }
-    case GateType::RZ: {
-      scratch.d0.resize(rows);
-      scratch.d1.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const double c = std::cos(angles[b] / 2.0);
-        const double s = std::sin(angles[b] / 2.0);
-        scratch.d0[b] = Complex{c, -s};
-        scratch.d1[b] = Complex{c, s};
-      }
-      batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire0);
-      return;
-    }
     case GateType::PhaseShift: {
       scratch.d0.assign(rows, kOneu);
       scratch.d1.resize(rows);
@@ -734,50 +734,12 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
   const std::size_t rows = batch.batch();
   switch (type) {
     case GateType::RX:
-    case GateType::RY: {
-      // dU/dθ is the rotation-kernel shape with (c, s) = (-s', c') where
-      // c' = cos(θ/2)/2, s' = sin(θ/2)/2 (see apply_gate_derivative).
-      if (shared) {
-        const double c = -0.5 * std::sin(angles[0] / 2.0);
-        const double s = 0.5 * std::cos(angles[0] / 2.0);
-        if (type == GateType::RX) {
-          batch.apply_rx_fast(c, s, wire0);
-        } else {
-          batch.apply_ry_fast(c, s, wire0);
-        }
-        return;
-      }
-      scratch.c.resize(rows);
-      scratch.s.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        scratch.c[b] = -0.5 * std::sin(angles[b] / 2.0);
-        scratch.s[b] = 0.5 * std::cos(angles[b] / 2.0);
-      }
-      if (type == GateType::RX) {
-        batch.apply_rx_fast_per_row(scratch.c, scratch.s, wire0);
-      } else {
-        batch.apply_ry_fast_per_row(scratch.c, scratch.s, wire0);
-      }
+    case GateType::RY:
+    case GateType::RZ:
+      half_angle_trig(angles, scratch.c, scratch.s);
+      apply_rotation_derivative_batch(batch, type, scratch.c, scratch.s,
+                                      wire0);
       return;
-    }
-    case GateType::RZ: {
-      if (shared) {
-        const double c = 0.5 * std::cos(angles[0] / 2.0);
-        const double s = 0.5 * std::sin(angles[0] / 2.0);
-        batch.apply_diagonal(Complex{-s, -c}, Complex{-s, c}, wire0);
-        return;
-      }
-      scratch.d0.resize(rows);
-      scratch.d1.resize(rows);
-      for (std::size_t b = 0; b < rows; ++b) {
-        const double c = 0.5 * std::cos(angles[b] / 2.0);
-        const double s = 0.5 * std::sin(angles[b] / 2.0);
-        scratch.d0[b] = Complex{-s, -c};
-        scratch.d1[b] = Complex{-s, c};
-      }
-      batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire0);
-      return;
-    }
     case GateType::PhaseShift: {
       if (shared) {
         batch.apply_diagonal(
@@ -834,6 +796,155 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
     }
     default:
       throw std::logic_error("apply_gate_derivative_batch: unreachable");
+  }
+}
+
+bool is_half_angle_rotation(GateType type) {
+  return type == GateType::RX || type == GateType::RY ||
+         type == GateType::RZ;
+}
+
+void apply_rotation_batch(StateVectorBatch& batch, GateType type,
+                          std::span<const double> cos_half,
+                          std::span<const double> sin_half,
+                          std::size_t wire) {
+  if (cos_half.size() == 1) {
+    const double c = cos_half[0];
+    const double s = sin_half[0];
+    switch (type) {
+      case GateType::RX: batch.apply_rx_fast(c, s, wire); return;
+      case GateType::RY: batch.apply_ry_fast(c, s, wire); return;
+      case GateType::RZ:
+        batch.apply_diagonal(Complex{c, -s}, Complex{c, s}, wire);
+        return;
+      default: break;
+    }
+  } else {
+    switch (type) {
+      case GateType::RX:
+        batch.apply_rx_fast_per_row(cos_half, sin_half, wire);
+        return;
+      case GateType::RY:
+        batch.apply_ry_fast_per_row(cos_half, sin_half, wire);
+        return;
+      case GateType::RZ: {
+        BatchScratch& scratch = batch_scratch();
+        scratch.d0.resize(cos_half.size());
+        scratch.d1.resize(cos_half.size());
+        for (std::size_t b = 0; b < cos_half.size(); ++b) {
+          scratch.d0[b] = Complex{cos_half[b], -sin_half[b]};
+          scratch.d1[b] = Complex{cos_half[b], sin_half[b]};
+        }
+        batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire);
+        return;
+      }
+      default: break;
+    }
+  }
+  throw std::invalid_argument("apply_rotation_batch: not RX/RY/RZ: " +
+                              gate_name(type));
+}
+
+void apply_rotation_derivative_batch(StateVectorBatch& batch, GateType type,
+                                     std::span<const double> cos_half,
+                                     std::span<const double> sin_half,
+                                     std::size_t wire) {
+  BatchScratch& scratch = batch_scratch();
+  const std::size_t rows = cos_half.size();
+  switch (type) {
+    case GateType::RX:
+    case GateType::RY: {
+      // dU/dθ is the rotation-kernel shape with (c, s) = (-s', c') where
+      // c' = cos(θ/2)/2, s' = sin(θ/2)/2 (see apply_gate_derivative).
+      scratch.dc.resize(rows);
+      scratch.ds.resize(rows);
+      for (std::size_t b = 0; b < rows; ++b) {
+        scratch.dc[b] = -0.5 * sin_half[b];
+        scratch.ds[b] = 0.5 * cos_half[b];
+      }
+      if (rows == 1) {
+        if (type == GateType::RX) {
+          batch.apply_rx_fast(scratch.dc[0], scratch.ds[0], wire);
+        } else {
+          batch.apply_ry_fast(scratch.dc[0], scratch.ds[0], wire);
+        }
+      } else if (type == GateType::RX) {
+        batch.apply_rx_fast_per_row(scratch.dc, scratch.ds, wire);
+      } else {
+        batch.apply_ry_fast_per_row(scratch.dc, scratch.ds, wire);
+      }
+      return;
+    }
+    case GateType::RZ: {
+      // dRZ/dθ = diag(-i/2·e^{-iθ/2}, i/2·e^{iθ/2}) — still diagonal.
+      scratch.d0.resize(rows);
+      scratch.d1.resize(rows);
+      for (std::size_t b = 0; b < rows; ++b) {
+        const double c = 0.5 * cos_half[b];
+        const double s = 0.5 * sin_half[b];
+        scratch.d0[b] = Complex{-s, -c};
+        scratch.d1[b] = Complex{-s, c};
+      }
+      if (rows == 1) {
+        batch.apply_diagonal(scratch.d0[0], scratch.d1[0], wire);
+      } else {
+        batch.apply_diagonal_per_row(scratch.d0, scratch.d1, wire);
+      }
+      return;
+    }
+    default:
+      throw std::invalid_argument(
+          "apply_rotation_derivative_batch: not RX/RY/RZ: " +
+          gate_name(type));
+  }
+}
+
+void BatchAngleTable::load(std::span<const double> params, std::size_t stride,
+                           std::size_t rows, std::size_t slots) {
+  rows_ = rows;
+  begin_.resize(slots + 1);
+  std::size_t total = 0;
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    begin_[slot] = total;
+    bool shared = true;
+    for (std::size_t b = 1; b < rows && shared; ++b) {
+      shared = params[b * stride + slot] == params[slot];
+    }
+    total += shared ? 1 : rows;
+  }
+  begin_[slots] = total;
+  angle_.resize(total);
+  cos_.resize(total);
+  sin_.resize(total);
+  neg_sin_.resize(total);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const std::size_t count = begin_[slot + 1] - begin_[slot];
+    for (std::size_t e = 0; e < count; ++e) {
+      const std::size_t i = begin_[slot] + e;
+      angle_[i] = params[e * stride + slot];
+      cos_[i] = std::cos(angle_[i] / 2.0);
+      sin_[i] = std::sin(angle_[i] / 2.0);
+      // sin is odd to the last bit, so this is sin(-θ/2): the inverse
+      // rotation's sine.
+      neg_sin_[i] = -sin_[i];
+    }
+  }
+}
+
+void apply_gate_batch(StateVectorBatch& batch, GateType type,
+                      const BatchAngleTable& table, std::int64_t slot,
+                      double fixed_angle, std::size_t wire0,
+                      std::size_t wire1) {
+  if (slot < 0) {
+    apply_gate_batch(batch, type, {&fixed_angle, 1}, wire0, wire1);
+    return;
+  }
+  const auto index = static_cast<std::size_t>(slot);
+  if (is_half_angle_rotation(type)) {
+    apply_rotation_batch(batch, type, table.cos_half(index),
+                         table.sin_half(index), wire0);
+  } else {
+    apply_gate_batch(batch, type, table.angles(index), wire0, wire1);
   }
 }
 

@@ -8,8 +8,10 @@
 //   CR*(θ) = |0⟩⟨0|⊗I + |1⟩⟨1|⊗R*(θ).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "quantum/statevector.hpp"
 
@@ -72,6 +74,11 @@ Mat2 ry(double theta);
 Mat2 rz(double theta);
 Mat2 phase_shift(double theta);
 
+/// RX / RY / RZ matrix from its half-angle trig: c = cos(θ/2), s = sin(θ/2).
+/// rx/ry/rz build through this, so a matrix made from a precomputed
+/// (c, s) has the same bits as one made from θ.
+Mat2 rotation_matrix(GateType type, double c, double s);
+
 /// Parameter derivatives dU/dθ (non-unitary matrices).
 Mat2 rx_derivative(double theta);
 Mat2 ry_derivative(double theta);
@@ -131,5 +138,75 @@ void apply_gate_derivative_batch(StateVectorBatch& batch, GateType type,
                                  std::span<const double> angles,
                                  std::size_t wire0,
                                  std::size_t wire1 = SIZE_MAX);
+
+/// True for RX / RY / RZ: the gates whose batched kernels take the
+/// half-angle trig (cos θ/2, sin θ/2) directly, so a BatchAngleTable can
+/// serve every application of them.
+bool is_half_angle_rotation(GateType type);
+
+/// RX / RY / RZ from precomputed half-angle trig: spans of size 1 (shared)
+/// or one entry per batch row. The inverse is the same call with the
+/// negated sine. Bit-identical to apply_gate_batch with the angle.
+void apply_rotation_batch(StateVectorBatch& batch, GateType type,
+                          std::span<const double> cos_half,
+                          std::span<const double> sin_half, std::size_t wire);
+
+/// dU/dθ of RX / RY / RZ from the same trig; bit-identical to
+/// apply_gate_derivative_batch with the angle.
+void apply_rotation_derivative_batch(StateVectorBatch& batch, GateType type,
+                                     std::span<const double> cos_half,
+                                     std::span<const double> sin_half,
+                                     std::size_t wire);
+
+/// The angles of a batch of parameter rows, one entry per parameter slot: a
+/// single value when every row holds the same angle, one per row otherwise.
+/// Each entry's half-angle cosine and sine (and the negated sine the
+/// inverse rotation uses) are computed once, on load, so a batched forward
+/// and the adjoint sweep after it read one trig table instead of
+/// re-deriving the trig at every gate application.
+class BatchAngleTable {
+ public:
+  /// Reads rows [0, rows) of `params` (row b at params[b * stride]) for
+  /// slots [0, slots). Allocation-free once the table has held as many
+  /// entries.
+  void load(std::span<const double> params, std::size_t stride,
+            std::size_t rows, std::size_t slots);
+
+  std::size_t rows() const { return rows_; }
+  std::size_t slots() const { return begin_.empty() ? 0 : begin_.size() - 1; }
+  bool shared(std::size_t slot) const {
+    return begin_[slot + 1] - begin_[slot] == 1;
+  }
+  /// Size 1 when shared(slot), rows() otherwise.
+  std::span<const double> angles(std::size_t slot) const {
+    return entry(angle_, slot);
+  }
+  std::span<const double> cos_half(std::size_t slot) const {
+    return entry(cos_, slot);
+  }
+  std::span<const double> sin_half(std::size_t slot) const {
+    return entry(sin_, slot);
+  }
+  std::span<const double> neg_sin_half(std::size_t slot) const {
+    return entry(neg_sin_, slot);
+  }
+
+ private:
+  std::span<const double> entry(const std::vector<double>& values,
+                                std::size_t slot) const {
+    return {values.data() + begin_[slot], begin_[slot + 1] - begin_[slot]};
+  }
+
+  std::size_t rows_ = 0;
+  std::vector<std::size_t> begin_;  ///< slot s owns [begin_[s], begin_[s+1])
+  std::vector<double> angle_, cos_, sin_, neg_sin_;
+};
+
+/// One op of a batched forward: the angle comes from `table` (slot >= 0)
+/// or is `fixed_angle`; RX / RY / RZ read the table's trig.
+void apply_gate_batch(StateVectorBatch& batch, GateType type,
+                      const BatchAngleTable& table, std::int64_t slot,
+                      double fixed_angle, std::size_t wire0,
+                      std::size_t wire1 = SIZE_MAX);
 
 }  // namespace qhdl::quantum

@@ -40,8 +40,12 @@ StateVectorBatch::StateVectorBatch(std::size_t num_qubits, std::size_t batch)
   }
 }
 
-void StateVectorBatch::reset() {
-  for (auto& a : amplitudes_) a = Complex{0.0, 0.0};
+void StateVectorBatch::reset(std::size_t rows) {
+  if (rows == 0) {
+    throw std::invalid_argument("StateVectorBatch::reset: batch must be >= 1");
+  }
+  batch_ = rows;
+  amplitudes_.assign(dimension_ * batch_, Complex{0.0, 0.0});
   for (std::size_t b = 0; b < batch_; ++b) {
     amplitudes_[b] = Complex{1.0, 0.0};
   }

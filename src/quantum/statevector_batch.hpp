@@ -42,8 +42,10 @@ class StateVectorBatch {
   std::span<Complex> amplitudes() { return amplitudes_; }
   std::span<const Complex> amplitudes() const { return amplitudes_; }
 
-  /// Resets every row to |0...0⟩.
-  void reset();
+  /// Resets to `rows` rows of |0...0⟩. Storage only grows, so a batch
+  /// never allocates to shrink, or to regrow up to the most rows it has
+  /// held.
+  void reset(std::size_t rows);
 
   /// Copies the amplitudes of another batch (same shape) into this one.
   void assign_from(const StateVectorBatch& other);

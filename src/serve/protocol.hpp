@@ -15,10 +15,16 @@
 //   {"type":"stats"}
 //   {"type":"study","family":<name>,"config":<sweep_config_to_json>}
 //   {"type":"train","config":<sweep config>,"features":F,
-//    "repetition":R,"spec":<model_spec_to_json>}
+//    "repetition":R,"candidate":K,"spec":<model_spec_to_json>}
 //                             (trains the spec on the split and run streams
-//                              the sweep gives the first candidate of search
-//                              (F, R), so it reproduces that unit's bytes)
+//                              the sweep gives candidate K of search (F, R),
+//                              so it reproduces that unit's bytes when the
+//                              spec is the search's K-th in FLOPs order.
+//                              "repetition" and "candidate" default to 0; a
+//                              K that is not a non-negative integer below
+//                              the most candidates a search can have (the
+//                              largest family space, capped by
+//                              max_candidates) gets an error reply)
 //   {"type":"sleep","ms":N}   (diagnostic job that occupies an executor
 //                              slot; used by the admission-control tests
 //                              and the load bench)

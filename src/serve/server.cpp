@@ -505,12 +505,33 @@ struct Server::Impl {
             : 0;
     const search::ModelSpec spec =
         search::model_spec_from_json(job.request.at("spec"));
+    const std::size_t candidate =
+        job.request.contains("candidate")
+            ? job.request.at("candidate").as_integer<std::size_t>()
+            : 0;
+    // No search has more candidates than the largest family space (or than
+    // max_candidates); the bound also caps the stream skip below.
+    std::size_t limit = 0;
+    for (const search::Family family :
+         {search::Family::Classical, search::Family::HybridBel,
+          search::Family::HybridSel}) {
+      limit = std::max(limit, search::family_search_space(family).size());
+    }
+    if (config.search.max_candidates > 0) {
+      limit = std::min(limit, config.search.max_candidates);
+    }
+    if (candidate >= limit) {
+      throw std::invalid_argument(
+          "train: candidate " + std::to_string(candidate) +
+          " out of range; a search here has at most " +
+          std::to_string(limit) + " candidates");
+    }
 
     // The key's family carries the spec identity so distinct specs at the
-    // same (features, repetition) occupy distinct cache slots.
+    // same (features, repetition, candidate) occupy distinct cache slots.
     const search::UnitKey key{
         "train:" + search::model_spec_to_json(spec).dump(), features,
-        repetition, 0};
+        repetition, candidate};
 
     auto checkpoint = cache.checkpoint_for(config);
     bool cached = true;
@@ -518,11 +539,16 @@ struct Server::Impl {
     if (!result.has_value()) {
       cached = false;
       util::throw_if_cancelled(&job.cancel);
-      // The sweep's data and streams for the search's first candidate, so
-      // a train of a sweep's candidate 0 reproduces its bytes.
+      // The sweep's data and the streams of the search's candidate k: the
+      // search draws each candidate's run streams in order, so skip the
+      // first k candidates' draws. A train of a sweep's k-th candidate
+      // reproduces that unit's bytes.
       search::SearchSplit drawn = search::draw_search_split(
           search::level_dataset(features, config), config.search,
           repetition);
+      for (std::size_t skipped = 0; skipped < candidate; ++skipped) {
+        search::split_run_rngs(config.search, drawn.stream);
+      }
       result = search::evaluate_candidate(spec, *drawn.split, config.search,
                                           drawn.stream);
       checkpoint->record(key, *result);

@@ -3,7 +3,9 @@
 // TrainHistory to the last ulp — every epoch loss and accuracy, across the
 // search space's layer shapes, activations, and odd batch tails — because
 // both paths share the same GEMM kernel, loss core, accuracy core, and
-// optimizer arithmetic.
+// optimizer arithmetic. Hybrids are held to the same bar against a
+// hand-driven Module loop on each production backend, since their quantum
+// layer's Module path and workspace stage are one implementation.
 #include "nn/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include "nn/dense.hpp"
 #include "nn/fastpath.hpp"
 #include "nn/trainer.hpp"
+#include "nn/loss.hpp"
+#include "qnn/hybrid_model.hpp"
 #include "qnn/quantum_layer.hpp"
 #include "tensor/init.hpp"
 #include "test_helpers.hpp"
@@ -136,25 +140,30 @@ TEST(Workspace, GoldenBitIdentityOddBatchShapes) {
   }
 }
 
-TEST(Workspace, CompileSupportsClassicalStacksOnly) {
+TEST(Workspace, CompileTakesDenseAndLayerStagesOnly) {
   util::Rng rng{3};
   Sequential mlp = make_mlp(4, 5, 2, 2, Act::Tanh, rng);
-  EXPECT_TRUE(TrainWorkspace::supports(mlp));
   EXPECT_NE(TrainWorkspace::compile(mlp, 8, 64), nullptr);
 
   // Activation with no preceding Dense.
   Sequential bare;
   bare.emplace<Tanh>();
-  EXPECT_FALSE(TrainWorkspace::supports(bare));
+  EXPECT_EQ(TrainWorkspace::compile(bare, 8, 64), nullptr);
+
+  // Two activations after one Dense.
+  Sequential doubled;
+  doubled.emplace<Dense>(4, 2, rng);
+  doubled.emplace<Tanh>();
+  doubled.emplace<ReLU>();
+  EXPECT_EQ(TrainWorkspace::compile(doubled, 8, 64), nullptr);
 
   // Softmax module is not fusable.
   Sequential with_softmax;
   with_softmax.emplace<Dense>(4, 2, rng);
   with_softmax.emplace<Softmax>();
-  EXPECT_FALSE(TrainWorkspace::supports(with_softmax));
   EXPECT_EQ(TrainWorkspace::compile(with_softmax, 8, 64), nullptr);
 
-  // Hybrid models (quantum layer) are not compilable.
+  // A quantum layer brings its own stage.
   qnn::QuantumLayerConfig qconfig;
   qconfig.qubits = 2;
   qconfig.depth = 1;
@@ -163,11 +172,124 @@ TEST(Workspace, CompileSupportsClassicalStacksOnly) {
   hybrid.emplace<Tanh>();
   hybrid.emplace<qnn::QuantumLayer>(qconfig, rng);
   hybrid.emplace<Dense>(2, 2, rng);
-  EXPECT_FALSE(TrainWorkspace::supports(hybrid));
-  EXPECT_EQ(TrainWorkspace::compile(hybrid, 8, 64), nullptr);
+  EXPECT_NE(TrainWorkspace::compile(hybrid, 8, 64), nullptr);
+
+  // An activation cannot fuse into a layer stage.
+  Sequential activated_quantum;
+  activated_quantum.emplace<qnn::QuantumLayer>(qconfig, rng);
+  activated_quantum.emplace<Tanh>();
+  EXPECT_EQ(TrainWorkspace::compile(activated_quantum, 8, 64), nullptr);
+
+  // Noisy and shot-based layers have no stage.
+  qnn::QuantumLayerConfig shots = qconfig;
+  shots.shots = 64;
+  Sequential sampled;
+  sampled.emplace<Dense>(4, 2, rng);
+  sampled.emplace<qnn::QuantumLayer>(shots, rng);
+  EXPECT_EQ(TrainWorkspace::compile(sampled, 8, 64), nullptr);
 }
 
-TEST(Workspace, HybridModelsFallBackToReferencePath) {
+/// train_classifier's reference path, step for step: the oracle a hybrid
+/// workspace run is compared against on the same backend.
+TrainHistory train_module_loop(Sequential& model, Optimizer& optimizer,
+                               const Tensor& x_train,
+                               std::span<const std::size_t> y_train,
+                               const Tensor& x_val,
+                               std::span<const std::size_t> y_val,
+                               const TrainConfig& config, util::Rng& rng) {
+  const std::size_t n = x_train.rows();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  SoftmaxCrossEntropy loss_fn;
+  TrainHistory history;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    if (config.shuffle) rng.shuffle(order);
+    double epoch_loss = 0.0;
+    std::size_t batches = 0;
+    for (std::size_t begin = 0; begin < n; begin += config.batch_size) {
+      const std::size_t end = std::min(begin + config.batch_size, n);
+      const std::span<const std::size_t> rows{order.data() + begin,
+                                              end - begin};
+      const Tensor x_batch = slice_rows(x_train, rows);
+      std::vector<std::size_t> y_batch(rows.size());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        y_batch[i] = y_train[rows[i]];
+      }
+      model.zero_grad();
+      const Tensor logits = model.forward(x_batch);
+      const LossResult loss = loss_fn.evaluate(logits, y_batch);
+      model.backward(loss.grad);
+      optimizer.step(model.parameters());
+      epoch_loss += loss.value;
+      ++batches;
+    }
+    EpochStats stats;
+    stats.train_loss = epoch_loss / static_cast<double>(batches);
+    stats.train_accuracy = evaluate_accuracy(model, x_train, y_train);
+    stats.val_accuracy = evaluate_accuracy(model, x_val, y_val);
+    history.epochs.push_back(stats);
+    history.best_train_accuracy =
+        std::max(history.best_train_accuracy, stats.train_accuracy);
+    history.best_val_accuracy =
+        std::max(history.best_val_accuracy, stats.val_accuracy);
+    history.epochs_run = epoch + 1;
+  }
+  return history;
+}
+
+TEST(Workspace, HybridGoldenBitIdentityAcrossAnsatzShapes) {
+  // 37 rows with batch 8 leave an odd 5-row tail batch every epoch.
+  constexpr std::size_t kFeatures = 4, kClasses = 3;
+  Tensor x_train, x_val;
+  std::vector<std::size_t> y_train, y_val;
+  make_dataset(37, kFeatures, kClasses, 41, x_train, y_train);
+  make_dataset(19, kFeatures, kClasses, 43, x_val, y_val);
+  TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 8;
+
+  for (const char* backend : testing::production_backends()) {
+    const testing::BackendScope scope{backend};
+    for (const qnn::AnsatzKind ansatz :
+         {qnn::AnsatzKind::BasicEntangler, qnn::AnsatzKind::StronglyEntangling,
+          qnn::AnsatzKind::HardwareEfficient}) {
+      for (const std::size_t qubits : {2, 3, 5}) {
+        for (const std::size_t depth : {1, 3}) {
+          qnn::HybridConfig hybrid;
+          hybrid.features = kFeatures;
+          hybrid.qubits = qubits;
+          hybrid.depth = depth;
+          hybrid.ansatz = ansatz;
+          hybrid.classes = kClasses;
+          hybrid.encoding_scale = 3.0;
+          const auto train = [&](bool workspace) {
+            util::Rng init_rng{100 * qubits + depth};
+            const auto model = qnn::build_hybrid_model(hybrid, init_rng);
+            Adam optimizer{1e-2};
+            util::Rng train_rng{997};
+            if (!workspace) {
+              return train_module_loop(*model, optimizer, x_train, y_train,
+                                       x_val, y_val, config, train_rng);
+            }
+            fastpath::reset_stats();
+            const TrainHistory history =
+                train_classifier(*model, optimizer, x_train, y_train, x_val,
+                                 y_val, config, train_rng);
+            EXPECT_EQ(fastpath::stats().workspace_runs, 1u);
+            return history;
+          };
+          SCOPED_TRACE(std::string{backend} + " " +
+                       qnn::ansatz_name(ansatz) +
+                       " q=" + std::to_string(qubits) +
+                       " d=" + std::to_string(depth));
+          expect_bit_identical(train(false), train(true));
+        }
+      }
+    }
+  }
+}
+
+TEST(Workspace, HybridModelsUseWorkspacePath) {
   util::Rng rng{5};
   qnn::QuantumLayerConfig qconfig;
   qconfig.qubits = 2;
@@ -188,6 +310,14 @@ TEST(Workspace, HybridModelsFallBackToReferencePath) {
 
   fastpath::reset_stats();
   util::Rng train_rng{17};
+  train_classifier(hybrid, optimizer, x, y, x, y, config, train_rng);
+  EXPECT_EQ(fastpath::stats().workspace_runs, 1u);
+  EXPECT_EQ(fastpath::stats().reference_runs, 0u);
+  EXPECT_EQ(fastpath::stats().workspace_steps, 3u);
+
+  // The reference backend keeps the Module path as the oracle.
+  const testing::BackendScope scope{"reference"};
+  fastpath::reset_stats();
   train_classifier(hybrid, optimizer, x, y, x, y, config, train_rng);
   EXPECT_EQ(fastpath::stats().reference_runs, 1u);
   EXPECT_EQ(fastpath::stats().workspace_runs, 0u);

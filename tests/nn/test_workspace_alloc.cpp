@@ -1,6 +1,8 @@
 // Steady-state allocation test for the workspace trainer: after warm-up
-// (first train step builds Adam slots and the GEMM packing scratch), a
-// train_step / evaluate_accuracy cycle must perform ZERO heap allocations.
+// (first train step builds Adam slots, the GEMM packing scratch and the
+// batched kernels' per-thread scratch), a train_step / evaluate_accuracy
+// cycle must perform ZERO heap allocations — for classical stacks and for
+// hybrids with a quantum layer stage alike.
 //
 // Enforced with a counting replacement of the global allocation functions.
 // The replacement is binary-wide, so this translation unit only counts —
@@ -18,6 +20,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
 #include "nn/workspace.hpp"
+#include "qnn/quantum_layer.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -60,11 +63,12 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
-  constexpr std::size_t kRows = 64, kFeatures = 10, kClasses = 2;
-  constexpr std::size_t kBatch = 8;
+constexpr std::size_t kRows = 64, kFeatures = 10, kClasses = 2;
+constexpr std::size_t kBatch = 8;
 
-  util::Rng rng{71};
+/// Trains `model` on the workspace: warm-up, then counts the allocations
+/// of 50 cycles of a full batch, an odd tail batch and a full eval.
+void expect_allocation_free_steady_state(Sequential& model, util::Rng& rng) {
   Tensor x{Shape{kRows, kFeatures}};
   std::vector<std::size_t> y(kRows);
   for (std::size_t i = 0; i < kRows; ++i) {
@@ -73,13 +77,6 @@ TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
     }
     y[i] = i % kClasses;
   }
-
-  Sequential model;
-  model.emplace<Dense>(kFeatures, 10, rng);
-  model.emplace<Tanh>();
-  model.emplace<Dense>(10, 10, rng);
-  model.emplace<ReLU>();
-  model.emplace<Dense>(10, kClasses, rng);
 
   auto workspace = TrainWorkspace::compile(model, kBatch, kRows);
   ASSERT_NE(workspace, nullptr);
@@ -113,6 +110,32 @@ TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
 
   EXPECT_EQ(after - before, 0u) << "train loop allocated on the steady state";
   EXPECT_TRUE(std::isfinite(sink));
+}
+
+TEST(WorkspaceAlloc, TrainStepAndEvalAreAllocationFreeAfterWarmup) {
+  util::Rng rng{71};
+  Sequential model;
+  model.emplace<Dense>(kFeatures, 10, rng);
+  model.emplace<Tanh>();
+  model.emplace<Dense>(10, 10, rng);
+  model.emplace<ReLU>();
+  model.emplace<Dense>(10, kClasses, rng);
+  expect_allocation_free_steady_state(model, rng);
+}
+
+TEST(WorkspaceAlloc, HybridTrainStepAndEvalAreAllocationFreeAfterWarmup) {
+  util::Rng rng{73};
+  qnn::QuantumLayerConfig qconfig;
+  qconfig.qubits = 3;
+  qconfig.depth = 2;
+  qconfig.ansatz = qnn::AnsatzKind::StronglyEntangling;
+  qconfig.encoding.scale = 3.0;
+  Sequential model;
+  model.emplace<Dense>(kFeatures, 3, rng);
+  model.emplace<Tanh>();
+  model.emplace<qnn::QuantumLayer>(qconfig, rng);
+  model.emplace<Dense>(3, kClasses, rng);
+  expect_allocation_free_steady_state(model, rng);
 }
 
 }  // namespace

@@ -407,5 +407,92 @@ TEST(QuantumLayer, BatchedPathBitIdenticalAcrossChunkCounts) {
   }
 }
 
+TEST(QuantumLayer, SecondBackwardReEvolvesTheConsumedState) {
+  // Backward sweeps from the state its forward left behind, and the sweep
+  // consumes it. A second backward with no fresh forward must evolve the
+  // state again, never differentiate the consumed one: both backwards agree
+  // to the last bit with a fresh layer's one.
+  util::Rng data_rng{46};
+  const Tensor x = tensor::uniform(Shape{5, 3}, -1.0, 1.0, data_rng);
+  const Tensor g = tensor::uniform(Shape{5, 3}, -1.0, 1.0, data_rng);
+  const auto config = small_config(AnsatzKind::StronglyEntangling, 3, 2);
+
+  util::Rng rng{78};
+  QuantumLayer layer{config, rng};
+  layer.forward(x);
+  const Tensor first = layer.backward(g);
+  const Tensor first_weights = layer.parameters()[0]->grad;
+  layer.zero_grad();
+  const Tensor second = layer.backward(g);
+  const Tensor second_weights = layer.parameters()[0]->grad;
+
+  util::Rng fresh_rng{78};
+  QuantumLayer fresh{config, fresh_rng};
+  fresh.forward(x);
+  const Tensor expected = fresh.backward(g);
+  const Tensor expected_weights = fresh.parameters()[0]->grad;
+
+  EXPECT_TRUE(tensor::allclose(first, expected, 0, 0));
+  EXPECT_TRUE(tensor::allclose(second, expected, 0, 0));
+  EXPECT_TRUE(tensor::allclose(first_weights, expected_weights, 0, 0));
+  EXPECT_TRUE(tensor::allclose(second_weights, expected_weights, 0, 0));
+}
+
+TEST(QuantumLayer, StageMatchesModulePathAcrossInferenceChunks) {
+  // The workspace stage is the Module path's implementation: its training
+  // forward/backward and its chunked inference (600 rows span several
+  // inference chunks) reproduce the Module path's bits.
+  util::Rng data_rng{47};
+  const Tensor x = tensor::uniform(Shape{600, 3}, -1.0, 1.0, data_rng);
+  const Tensor batch = tensor::uniform(Shape{7, 3}, -1.0, 1.0, data_rng);
+  const Tensor g = tensor::uniform(Shape{7, 3}, -1.0, 1.0, data_rng);
+  auto config = small_config(AnsatzKind::BasicEntangler, 3, 3);
+  config.encoding.scale = 3.0;
+
+  util::Rng rng{79};
+  QuantumLayer module{config, rng};
+  const Tensor module_out = module.forward(x);
+  const Tensor module_batch_out = module.forward(batch);
+  const Tensor module_grad = module.backward(g);
+
+  util::Rng stage_rng{79};
+  QuantumLayer layer{config, stage_rng};
+  const auto stage = layer.make_stage(8, 600);
+  ASSERT_NE(stage, nullptr);
+  Tensor stage_out{Shape{600, 3}};
+  stage->infer(x.data().data(), 600, stage_out.data().data());
+  Tensor stage_batch_out{Shape{7, 3}};
+  stage->forward(batch.data().data(), 7, stage_batch_out.data().data());
+  Tensor stage_grad{Shape{7, 3}};
+  stage->backward(g.data().data(), stage_grad.data().data());
+
+  EXPECT_TRUE(tensor::allclose(stage_out, module_out, 0, 0));
+  EXPECT_TRUE(tensor::allclose(stage_batch_out, module_batch_out, 0, 0));
+  EXPECT_TRUE(tensor::allclose(stage_grad, module_grad, 0, 0));
+  EXPECT_TRUE(tensor::allclose(layer.parameters()[0]->grad,
+                               module.parameters()[0]->grad, 0, 0));
+  // Inference keeps no state for a backward.
+  stage->infer(x.data().data(), 600, stage_out.data().data());
+  EXPECT_THROW(stage->backward(g.data().data(), nullptr), std::logic_error);
+}
+
+TEST(QuantumLayer, NoStageOffTheExactBatchedPath) {
+  util::Rng rng{80};
+  auto noisy = small_config(AnsatzKind::BasicEntangler, 2, 1);
+  noisy.noise = quantum::NoiseModel::depolarizing(0.01);
+  QuantumLayer noisy_layer{noisy, rng};
+  EXPECT_EQ(noisy_layer.make_stage(8, 64), nullptr);
+
+  auto shift = small_config(AnsatzKind::BasicEntangler, 2, 1);
+  shift.diff_method = quantum::DiffMethod::ParameterShift;
+  QuantumLayer shift_layer{shift, rng};
+  EXPECT_EQ(shift_layer.make_stage(8, 64), nullptr);
+
+  QuantumLayer exact{small_config(AnsatzKind::BasicEntangler, 2, 1), rng};
+  EXPECT_NE(exact.make_stage(8, 64), nullptr);
+  const testing::BackendScope scope{"reference"};
+  EXPECT_EQ(exact.make_stage(8, 64), nullptr);
+}
+
 }  // namespace
 }  // namespace qhdl::qnn

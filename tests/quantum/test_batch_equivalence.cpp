@@ -279,4 +279,44 @@ TEST(BatchEquivalence, AdjointVjpBitIdenticalPerRowAllModes) {
   }
 }
 
+TEST(BatchEquivalence, AdjointStateSweepsTheForwardStateOnce) {
+  // One state, sized once, serves batches that shrink and regrow; each
+  // sweep starts from the forward's φ, matches a fresh adjoint_vjp_batch to
+  // the last bit, and consumes φ, so a second sweep is refused.
+  util::Rng rng{45};
+  const std::size_t qubits = 3;
+  std::vector<double> proto;
+  const Circuit circuit = make_sel_circuit(qubits, 2, proto, rng);
+  std::vector<Observable> observables;
+  for (std::size_t w = 0; w < qubits; ++w) {
+    observables.push_back(Observable::pauli_z(w));
+  }
+  for (const char* backend : execution_backends()) {
+    const BackendScope scope{backend};
+    quantum::BatchAdjointState state{circuit, observables, 8, 8};
+    for (const std::size_t batch_size : {8, 3, 1, 8}) {
+      const std::string label =
+          std::string{backend} + " b=" + std::to_string(batch_size);
+      const std::vector<double> params =
+          make_batch_params(proto, qubits, batch_size, rng);
+      std::vector<double> upstream(batch_size * qubits);
+      for (auto& u : upstream) u = rng.uniform(-1.0, 1.0);
+      const auto fresh = quantum::adjoint_vjp_batch(
+          circuit, params, proto.size(), batch_size, observables, upstream);
+
+      std::vector<double> expectations(batch_size * qubits);
+      state.forward(params, proto.size(), batch_size, expectations);
+      EXPECT_TRUE(state.holds_forward_state()) << label;
+      state.sweep(upstream);
+      EXPECT_FALSE(state.holds_forward_state()) << label;
+      EXPECT_EQ(expectations, fresh.expectations) << label;
+      const std::span<const double> gradient = state.gradient();
+      EXPECT_EQ(std::vector<double>(gradient.begin(), gradient.end()),
+                fresh.gradient)
+          << label;
+      EXPECT_THROW(state.sweep(upstream), std::logic_error) << label;
+    }
+  }
+}
+
 }  // namespace

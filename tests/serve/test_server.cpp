@@ -253,30 +253,61 @@ TEST_F(ServeServerTest, OutOfRangeNumbersAreErrorRepliesNotCrashes) {
 // `train` replays the sweep's data and streams: training a sweep's first
 // candidate at its (features, repetition) returns that unit's exact bytes.
 TEST_F(ServeServerTest, TrainOfFirstCandidateReproducesTheSweepUnit) {
+  // Candidates 0, 1 and 2 of a search: a train of candidate k skips the
+  // first k candidates' run streams, so it returns the sweep's unit bytes.
   search::SweepConfig config = tiny_study();
   config.search.repetitions = 2;
   config.search.runs_per_model = 2;
+  config.search.max_candidates = 3;
   const search::SweepResult sweep =
       search::run_complexity_sweep(search::Family::Classical, config);
-  const search::CandidateResult& unit =
-      sweep.levels.at(0).search.repetitions.at(1).evaluated.at(0);
-  // An unsaturated candidate: other streams would give other accuracies.
-  ASSERT_LT(unit.avg_best_val_accuracy, 1.0);
-  ASSERT_LT(unit.avg_best_train_accuracy, 1.0);
+  const std::vector<search::CandidateResult>& evaluated =
+      sweep.levels.at(0).search.repetitions.at(1).evaluated;
+  ASSERT_EQ(evaluated.size(), 3u);
 
   Server server{ServerConfig{}};
   server.start();
-  util::Json train = util::Json::object();
-  train["type"] = "train";
-  train["config"] = search::sweep_config_to_json(config);
-  train["spec"] = search::model_spec_to_json(unit.spec);
-  train["features"] = config.feature_sizes.at(0);
-  train["repetition"] = 1;
-  const util::Json reply =
-      round_trip("127.0.0.1", server.port(), train, 120000);
-  ASSERT_EQ(reply.at("type").as_string(), "result");
-  EXPECT_EQ(reply.at("unit").dump(),
-            search::candidate_result_to_json(unit).dump());
+  const auto train_request = [&](const search::CandidateResult& unit) {
+    util::Json train = util::Json::object();
+    train["type"] = "train";
+    train["config"] = search::sweep_config_to_json(config);
+    train["spec"] = search::model_spec_to_json(unit.spec);
+    train["features"] = config.feature_sizes.at(0);
+    train["repetition"] = 1;
+    return train;
+  };
+  for (std::size_t k = 0; k < evaluated.size(); ++k) {
+    const search::CandidateResult& unit = evaluated[k];
+    // An unsaturated candidate: other streams would give other accuracies.
+    ASSERT_LT(unit.avg_best_val_accuracy, 1.0) << "candidate " << k;
+    ASSERT_LT(unit.avg_best_train_accuracy, 1.0) << "candidate " << k;
+    util::Json train = train_request(unit);
+    if (k > 0) train["candidate"] = k;
+    const util::Json reply =
+        round_trip("127.0.0.1", server.port(), train, 120000);
+    ASSERT_EQ(reply.at("type").as_string(), "result") << "candidate " << k;
+    EXPECT_EQ(reply.at("unit").dump(),
+              search::candidate_result_to_json(unit).dump())
+        << "candidate " << k;
+  }
+
+  // A candidate index that is not a non-negative integer, or that no
+  // search reaches, gets a typed error reply; the server keeps serving.
+  for (const util::Json& bad :
+       {util::Json{1.5}, util::Json{-1}, util::Json{"two"}, util::Json{3},
+        util::Json{1e18}}) {
+    util::Json train = train_request(evaluated[0]);
+    train["candidate"] = bad;
+    const util::Json reply =
+        round_trip("127.0.0.1", server.port(), train, 120000);
+    EXPECT_EQ(reply.at("type").as_string(), "error") << bad.dump();
+  }
+  util::Json ping = util::Json::object();
+  ping["type"] = "ping";
+  EXPECT_EQ(round_trip("127.0.0.1", server.port(), ping, 10000)
+                .at("type")
+                .as_string(),
+            "pong");
 }
 
 TEST_F(ServeServerTest, PoolBackedStudyMatchesInProcessBytes) {

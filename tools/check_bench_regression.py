@@ -36,7 +36,7 @@ Usage:
       --current fresh.json [--tolerance 0.25] [--calibrate] \
       [--baseline-sha SHA] [--report out.md]
   tools/check_bench_regression.py --baseline BENCH_serve.json \
-      --current fresh.json --tolerance 3.0
+      --current fresh.json --tolerance 1.0
 """
 import argparse
 import json
